@@ -45,6 +45,7 @@ const maxInt64 = int64(^uint64(0) >> 1)
 type Planner struct {
 	starts []Start
 	rel    []Running
+	curs   []cursor
 
 	// Memoized phase-2 shadow/extra for PlanEASYSorted, keyed by everything
 	// the computation reads: the head's residual need, the free pool, and the
@@ -87,20 +88,52 @@ type Planner struct {
 // "no special treatments"), malleable jobs are scheduled rigidly at their
 // maximum size.
 //
+// Phase 3 visits every job behind the head; PlanEASYSorted on an incremental
+// queue visits only those that could fit and must agree with it exactly.
+//
 // The returned slice is owned by the Planner and valid until its next call.
 func (p *Planner) PlanEASY(now int64, queue []*job.Job, running []Running, free, backfillExtra int, ownReserve func(*job.Job) int, flexible bool) []Start {
-	return p.plan(now, queue, running, free, backfillExtra, ownReserve, flexible, false, 0)
+	idx, b := p.head(now, queue, running, free, backfillExtra, ownReserve, flexible, false, 0)
+	if idx < len(queue) {
+		p.backfillLinear(queue[idx+1:], &b)
+	}
+	return p.starts
 }
 
-// PlanEASYSorted is PlanEASY for a release list the caller maintains already
-// sorted by (EstEnd, ID): the per-pass copy and sort disappear, and the
-// phase-2 shadow/extra computation is memoized. relVersion must change
-// whenever the contents of running change (any insert, removal, or estimate
-// update); together with the head's residual need and the free count it keys
-// the cached result, so a pass repeated against an unchanged running set and
-// free pool skips the release-list scan entirely.
-func (p *Planner) PlanEASYSorted(now int64, queue []*job.Job, running []Running, relVersion uint64, free, backfillExtra int, ownReserve func(*job.Job) int, flexible bool) []Start {
-	return p.plan(now, queue, running, free, backfillExtra, ownReserve, flexible, true, relVersion)
+// PlanEASYSorted is PlanEASY over q, which must be in policy order at now (an
+// incremental queue always is; Sort any other first), and a release list the
+// caller maintains sorted by (EstEnd, ID). The per-pass copy and sort of the
+// release list disappear, and the phase-2 shadow/extra computation is
+// memoized: relVersion must change whenever the contents of running change
+// (any insert, removal, or estimate update); together with the head's
+// residual need and the free count it keys the cached result, so a pass
+// repeated against an unchanged running set and free pool skips the
+// release-list scan entirely.
+//
+// On an incremental queue, phase 3 walks q's need index instead of the
+// queue, with one cursor on each need group whose need is at most free +
+// backfillExtra + maxOwn, where maxOwn bounds ownReserve over every queued
+// job (the total of reserved nodes will do; 0 with no private reservations):
+// a job needing more cannot fit its own reservation plus both pools. Within
+// a pass the shadow time is fixed and the pools only shrink, so a candidate
+// the pools reject stays rejected: each cursor moves forward past rejected
+// jobs to its group's first admissible one and never back, and the earliest
+// of those in queue order is the start the linear scan of PlanEASY would
+// make next. The plan is PlanEASY's, start
+// for start, at a cost set by the jobs that could fit rather than by the
+// queue's depth. A queue that is not incremental is scanned linearly: it is
+// re-sorted every pass, and rebuilding the index after each re-sort costs
+// more than the scan it would save.
+func (p *Planner) PlanEASYSorted(now int64, q *Queue, running []Running, relVersion uint64, free, backfillExtra, maxOwn int, ownReserve func(*job.Job) int) []Start {
+	idx, b := p.head(now, q.jobs, running, free, backfillExtra, ownReserve, q.flexible, true, relVersion)
+	if idx < len(q.jobs) {
+		if q.incremental {
+			p.backfillIndexed(q, idx, &b, maxOwn)
+		} else {
+			p.backfillLinear(q.jobs[idx+1:], &b)
+		}
+	}
+	return p.starts
 }
 
 // PlanEASY is the allocation-per-call form of Planner.PlanEASY, retained for
@@ -119,22 +152,38 @@ func startNeed(j *job.Job, flexible bool) int {
 	return j.Size
 }
 
-// plan is the shared three-phase EASY pass behind both entry points.
-func (p *Planner) plan(now int64, queue []*job.Job, running []Running, free, backfillExtra int, ownReserve func(*job.Job) int, flexible, sorted bool, relVer uint64) []Start {
-	own := func(j *job.Job) int {
-		if ownReserve == nil {
-			return 0
-		}
-		return ownReserve(j)
-	}
+// backfill is what phase 3 sizes candidates against: the pools left after
+// phase 1 and the blocked head's reservation.
+type backfill struct {
+	now      int64
+	own      func(*job.Job) int // nil: no private reservations
+	flexible bool
+	free     int   // free pool
+	shared   int   // shared reserved capacity (backfillExtra)
+	shadow   int64 // the head's reservation time
+	extra    int   // nodes spare at the shadow time beyond the head's need
+}
 
-	starts := p.starts[:0]
-	idx := 0
+func (b *backfill) ownOf(j *job.Job) int {
+	if b.own == nil {
+		return 0
+	}
+	return b.own(j)
+}
+
+// head runs phases 1 and 2: it replaces p.starts with the jobs started from
+// the head of queue and returns the index of the blocked head (len(queue)
+// when every job started), with the backfill state for the jobs behind it.
+func (p *Planner) head(now int64, queue []*job.Job, running []Running, free, backfillExtra int, ownReserve func(*job.Job) int, flexible, sorted bool, relVer uint64) (int, backfill) {
+	b := backfill{now: now, own: ownReserve, flexible: flexible, free: free, shared: backfillExtra}
+	p.starts = p.starts[:0]
 
 	// Phase 1: run the head of the queue while it fits.
-	for idx < len(queue) {
+	idx := 0
+	for ; idx < len(queue); idx++ {
 		j := queue[idx]
-		avail := free + own(j)
+		own := b.ownOf(j)
+		avail := b.free + own
 		if startNeed(j, flexible) > avail {
 			break
 		}
@@ -142,70 +191,138 @@ func (p *Planner) plan(now int64, queue []*job.Job, running []Running, free, bac
 		if flexible {
 			size = chooseSize(j, avail)
 		}
-		starts = append(starts, Start{J: j, Size: size})
-		fromOwn := own(j)
-		if fromOwn > size {
-			fromOwn = size
-		}
-		free -= size - fromOwn
-		idx++
+		p.starts = append(p.starts, Start{J: j, Size: size})
+		b.free -= size - min(own, size)
 	}
-	if idx >= len(queue) {
-		p.starts = starts
-		return starts
+	if idx == len(queue) {
+		return idx, b
 	}
 
 	// Phase 2: reservation for the blocked head. The head's own reservation
 	// reduces what it needs from the free pool and future releases.
 	head := queue[idx]
-	headNeed := startNeed(head, flexible) - own(head)
-	shadow, extra := p.shadowAndExtra(running, free, headNeed, sorted, relVer)
+	headNeed := startNeed(head, flexible) - b.ownOf(head)
+	b.shadow, b.extra = p.shadowAndExtra(running, b.free, headNeed, sorted, relVer)
+	return idx, b
+}
 
-	// Phase 3: backfill the rest of the queue in priority order.
-	for _, j := range queue[idx+1:] {
-		// On-demand jobs never run on other jobs' reserved capacity: a
-		// squatter is preemptable, and on-demand jobs must not be.
-		bfExtra := backfillExtra
-		if j.Class == job.OnDemand {
-			bfExtra = 0
-		}
-		size, usedExtra, ok := chooseBackfillSize(now, j, free, own(j), bfExtra, shadow, extra, flexible)
-		if !ok {
-			continue
-		}
-		starts = append(starts, Start{J: j, Size: size})
-		// Consumption order: own reservation, then free pool, then shared
-		// reserved capacity.
-		rest := size - own(j)
-		if rest < 0 {
-			rest = 0
-		}
-		fromFree := rest
-		if fromFree > free {
-			fromFree = free
-		}
-		// The shared reserve is charged the larger of the physical overflow
-		// (nodes the free pool could not supply) and the extra-rule overflow
-		// (the part of the draw the head's slack does not cover). Charging
-		// only on free-pool underflow let two extra-rule candidates each size
-		// against the full shared reserve — the double-spend this fixes.
-		reserveUse := rest - fromFree
-		if usedExtra {
-			if over := rest - extra; over > reserveUse {
-				reserveUse = over
-			}
-		}
-		backfillExtra -= reserveUse
-		free -= fromFree
-		if usedExtra {
-			extra -= rest - reserveUse
-			if extra < 0 {
-				extra = 0
-			}
+// fit sizes j as a backfill candidate against the current pools. A job the
+// pools reject stays rejected for the rest of the pass: the shadow time is
+// fixed, the pools only shrink, and admission is monotone in every pool.
+func (b *backfill) fit(j *job.Job) (size int, usedExtra, ok bool) {
+	// On-demand jobs never run on other jobs' reserved capacity: a squatter
+	// is preemptable, and on-demand jobs must not be.
+	shared := b.shared
+	if j.Class == job.OnDemand {
+		shared = 0
+	}
+	return chooseBackfillSize(b.now, j, b.free, b.ownOf(j), shared, b.shadow, b.extra, b.flexible)
+}
+
+// take starts j on the size fit chose and charges its draw to the pools.
+func (b *backfill) take(j *job.Job, size int, usedExtra bool) Start {
+	// Consumption order: own reservation, then free pool, then shared
+	// reserved capacity.
+	rest := max(size-b.ownOf(j), 0)
+	fromFree := min(rest, b.free)
+	// The shared reserve is charged the larger of the physical overflow
+	// (nodes the free pool could not supply) and the extra-rule overflow
+	// (the part of the draw the head's slack does not cover). Charging only
+	// on free-pool underflow let two extra-rule candidates each size against
+	// the full shared reserve — the double-spend this fixes.
+	reserveUse := rest - fromFree
+	if usedExtra {
+		reserveUse = max(reserveUse, rest-b.extra)
+	}
+	b.shared -= reserveUse
+	b.free -= fromFree
+	if usedExtra {
+		b.extra = max(b.extra-(rest-reserveUse), 0)
+	}
+	return Start{J: j, Size: size}
+}
+
+// backfillLinear is phase 3 over every candidate, in queue order.
+func (p *Planner) backfillLinear(candidates []*job.Job, b *backfill) {
+	for _, j := range candidates {
+		if size, usedExtra, ok := b.fit(j); ok {
+			p.starts = append(p.starts, b.take(j, size, usedExtra))
 		}
 	}
-	p.starts = starts
-	return starts
+}
+
+// backfillIndexed is phase 3 of PlanEASYSorted (see there) behind the
+// blocked head q.jobs[idx].
+func (p *Planner) backfillIndexed(q *Queue, idx int, b *backfill, maxOwn int) {
+	q.index()
+	bound := b.free + b.shared + maxOwn
+	open := sort.Search(len(q.groups), func(k int) bool { return q.groups[k].need > bound })
+	curs := p.curs[:0]
+	for g := range open {
+		curs = append(curs, cursor{g: g})
+	}
+	// Phase 1 started q.jobs[:idx] and q.jobs[idx] is the head; in each group
+	// those jobs form a prefix, which the group's cursor skips.
+	for _, j := range q.jobs[:idx+1] {
+		if need := q.need(j); need <= bound {
+			curs[q.group(need)].k++
+		}
+	}
+	for {
+		// Move each cursor to its group's first job the current pools admit,
+		// dropping the groups that hold none. Everything passed over is
+		// rejected for the rest of the pass, as the pools only shrink.
+		bound = b.free + b.shared + maxOwn
+		live := curs[:0]
+		for _, c := range curs {
+			if b.advance(q, &c, bound) {
+				live = append(live, c)
+			}
+		}
+		curs = live
+		if len(curs) == 0 {
+			break
+		}
+		// The earliest admissible job in queue order is the start the linear
+		// scan makes next.
+		first := 0
+		for i := 1; i < len(curs); i++ {
+			if Less(q.at(curs[i]), q.at(curs[first]), q.ord, b.now, q.odFirst) {
+				first = i
+			}
+		}
+		c := &curs[first]
+		p.starts = append(p.starts, b.take(q.at(*c), c.size, c.usedExtra))
+		c.k++
+	}
+	p.curs = curs
+}
+
+// cursor walks one need group of the queue: it is at q.groups[g].jobs[k],
+// which the pools admit at size (usedExtra: by the extra-node rule).
+type cursor struct {
+	g, k, size int
+	usedExtra  bool
+}
+
+// at returns the job cursor c is at.
+func (q *Queue) at(c cursor) *job.Job { return q.groups[c.g].jobs[c.k] }
+
+// advance moves c to the first job from its position on that the current
+// pools admit. It reports false when the group holds none, or needs more
+// than bound.
+func (b *backfill) advance(q *Queue, c *cursor, bound int) bool {
+	g := &q.groups[c.g]
+	if g.need > bound {
+		return false
+	}
+	for ; c.k < len(g.jobs); c.k++ {
+		var ok bool
+		if c.size, c.usedExtra, ok = b.fit(g.jobs[c.k]); ok {
+			return true
+		}
+	}
+	return false
 }
 
 // shadowAndExtra computes the head job's reservation: the shadow time at

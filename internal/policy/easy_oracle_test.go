@@ -146,9 +146,15 @@ func sameStarts(a, b []Start) bool {
 func genInstance(rng *rand.Rand) (queue []*job.Job, running []Running, free, bf int, ownReserve map[int]int, flexible bool) {
 	nq := rng.Intn(9)
 	ownReserve = map[int]int{}
+	// Half the instances draw from few sizes, so need groups hold several
+	// jobs.
+	maxSize := 16
+	if rng.Intn(2) == 0 {
+		maxSize = 4
+	}
 	for i := 0; i < nq; i++ {
 		id := i + 1
-		size := 1 + rng.Intn(16)
+		size := 1 + rng.Intn(maxSize)
 		est := int64(1 + rng.Intn(2000))
 		switch rng.Intn(3) {
 		case 0:
@@ -172,23 +178,53 @@ func genInstance(rng *rand.Rand) (queue []*job.Job, running []Running, free, bf 
 	return queue, running, rng.Intn(17), rng.Intn(5), ownReserve, rng.Intn(2) == 0
 }
 
-// TestPlanEASYMatchesBruteForce pins Planner.PlanEASY — and the pre-sorted,
-// memoized PlanEASYSorted entry point — to the brute-force reference across
-// randomized small instances mixing all three job classes, private
-// reservations, shared reserve capacity, and both sizing modes.
+// queueOf builds a Queue under ord holding jobs, inserted in the given order
+// and then sorted at now (a no-op for an incremental queue).
+func queueOf(ord Ordering, odFirst, flexible, incremental bool, now int64, jobs []*job.Job) *Queue {
+	q := NewQueue(ord, odFirst, flexible, incremental)
+	for _, j := range jobs {
+		q.Insert(j, now)
+	}
+	q.Sort(now)
+	return &q
+}
+
+// TestPlanEASYMatchesBruteForce pins Planner.PlanEASY and the need-indexed
+// PlanEASYSorted, on an incremental queue and on one sorted per pass, to the
+// brute-force reference across randomized small instances mixing all three
+// job classes, private reservations, shared reserve capacity, both sizing
+// modes, and the built-in orderings with and without on-demand-first.
+// PlanEASYSorted gets the tightest bound on private reservations it allows,
+// so a group skipped one node too eagerly shows up as a missing start.
 func TestPlanEASYMatchesBruteForce(t *testing.T) {
+	orders := []Ordering{FCFS{}, SJF{}, LJF{}, WFP3{}}
+	instances, blockedBehindStarts := 0, 0
 	property := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		queue, running, free, bf, ownReserve, flexible := genInstance(rng)
+		jobs, running, free, bf, ownReserve, flexible := genInstance(rng)
+		ord := orders[rng.Intn(len(orders))]
+		odFirst := rng.Intn(2) == 0
+		now := int64(rng.Intn(3)) * 250
 		var ownFn func(*job.Job) int
+		maxOwn := 0
 		if len(ownReserve) > 0 {
 			ownFn = func(j *job.Job) int { return ownReserve[j.ID] }
+			for _, n := range ownReserve {
+				maxOwn = max(maxOwn, n)
+			}
 		}
 
-		want := refPlanEASY(0, queue, running, free, bf, ownReserve, flexible)
+		inc := queueOf(ord, odFirst, flexible, true, now, jobs)
+		queue := inc.Jobs()
+		want := refPlanEASY(now, queue, running, free, bf, ownReserve, flexible)
+		// Phase-1 starts are the leading starts that are a queue prefix.
+		instances++
+		if k := countPrefix(want, queue); k > 0 && k < len(queue) {
+			blockedBehindStarts++
+		}
 
 		var p Planner
-		got := p.PlanEASY(0, queue, running, free, bf, ownFn, flexible)
+		got := p.PlanEASY(now, queue, running, free, bf, ownFn, flexible)
 		if !sameStarts(want, got) {
 			t.Logf("seed %d: PlanEASY diverges: want %+v got %+v", seed, want, got)
 			return false
@@ -196,19 +232,39 @@ func TestPlanEASYMatchesBruteForce(t *testing.T) {
 
 		sortedRel := append([]Running(nil), running...)
 		sort.Slice(sortedRel, func(i, j int) bool { return relLess(sortedRel[i], sortedRel[j]) })
-		var ps Planner
-		// Plan twice with the same version: the second call exercises the
-		// memoized shadow/extra path and must not change the answer.
-		for pass := 0; pass < 2; pass++ {
-			got = ps.PlanEASYSorted(0, queue, sortedRel, uint64(seed), free, bf, ownFn, flexible)
-			if !sameStarts(want, got) {
-				t.Logf("seed %d pass %d: PlanEASYSorted diverges: want %+v got %+v", seed, pass, want, got)
-				return false
+		shuffled := append([]*job.Job(nil), jobs...)
+		rng.Shuffle(len(shuffled), func(i, k int) { shuffled[i], shuffled[k] = shuffled[k], shuffled[i] })
+		resorted := queueOf(ord, odFirst, flexible, false, now, shuffled)
+		for _, q := range []*Queue{inc, resorted} {
+			var ps Planner
+			// Plan twice with the same version: the second call exercises
+			// the memoized shadow/extra path and must not change the answer.
+			for pass := 0; pass < 2; pass++ {
+				got = ps.PlanEASYSorted(now, q, sortedRel, uint64(seed), free, bf, maxOwn, ownFn)
+				if !sameStarts(want, got) {
+					t.Logf("seed %d pass %d (%s, incremental %v): PlanEASYSorted diverges: want %+v got %+v",
+						seed, pass, ord.Name(), q.Incremental(), want, got)
+					return false
+				}
 			}
 		}
 		return true
 	}
-	if err := quick.Check(property, &quick.Config{MaxCount: 3000}); err != nil {
+	if err := quick.Check(property, &quick.Config{MaxCount: 5000}); err != nil {
 		t.Fatal(err)
 	}
+	// The skip of each group's phase-1 prefix is only exercised when phase 1
+	// starts jobs and then blocks; the generator must keep producing those.
+	if blockedBehindStarts*10 < instances {
+		t.Fatalf("only %d of %d instances start jobs ahead of a blocked head", blockedBehindStarts, instances)
+	}
+}
+
+// countPrefix returns how many leading starts are the queue's leading jobs.
+func countPrefix(starts []Start, queue []*job.Job) int {
+	k := 0
+	for k < len(starts) && k < len(queue) && starts[k].J == queue[k] {
+		k++
+	}
+	return k
 }

@@ -90,11 +90,12 @@ func TestSortedPlannerMatchesUnsorted(t *testing.T) {
 	c1 := malleable(2, 1, 40, 5, 99999)
 	c2 := rigid(3, 2, 10, 200)
 	queue := []*job.Job{head, c1, c2}
+	q := queueOf(FCFS{}, false, true, true, 0, queue)
 
 	var pa, pb Planner
 	for pass := 0; pass < 3; pass++ { // repeat: the second pass hits the memo
 		a := pa.PlanEASY(0, queue, running, 30, 2, nil, true)
-		b := pb.PlanEASYSorted(0, queue, sorted, 7, 30, 2, nil, true)
+		b := pb.PlanEASYSorted(0, q, sorted, 7, 30, 2, 0, nil)
 		if len(a) != len(b) {
 			t.Fatalf("pass %d: %d vs %d starts", pass, len(a), len(b))
 		}

@@ -279,16 +279,13 @@ type Engine struct {
 	//schedlint:snapfield index over e.jobs; rebuilt by re-registering restored jobs
 	sparse map[int]*jobEntry
 
-	// queue is the waiting queue. With sortedQueue set it is maintained in
-	// policy order incrementally (binary-search insertion on enqueue); the
-	// built-in orderings are total, so the result is exactly what the
-	// per-pass stable sort used to produce. Time-dependent policies (WFP3,
-	// unknown registered ones) and the reference path re-sort every pass.
-	queue []*job.Job
-	//schedlint:snapfield derived from Config.Policy/Reference, both re-supplied at restore
-	sortedQueue bool
-	//schedlint:snapfield cache of the re-attached mechanism's QueueOnDemandFirst
-	odFirst bool // mech.QueueOnDemandFirst(), cached at construction
+	// queue is the waiting queue in policy order, with the need index the
+	// planner's backfill phase walks. On the optimized path a time-invariant
+	// policy keeps it in order incrementally (binary-search insertion); the
+	// built-in orderings are total, so the result is exactly what the per-pass
+	// stable sort used to produce. Time-dependent policies (WFP3, unknown
+	// registered ones) and the reference path re-sort every pass.
+	queue policy.Queue
 
 	// running lists every job holding nodes (Running or Warning), in
 	// ascending ID order, maintained incrementally.
@@ -305,18 +302,6 @@ type Engine struct {
 	rel []policy.Running
 	//schedlint:snapfield memoization version counter; any fresh value is correct after restore
 	relVer uint64
-
-	// minNeed is a lower bound on the smallest node count any queued job
-	// needs to start (its minimum size under flexible sizing). Enqueues lower
-	// it exactly; removals leave it stale-low (sound), and every executed
-	// scheduler pass recomputes it. A pass is skipped outright when even this
-	// bound exceeds everything a planner could hand out — the free pool plus
-	// reserved capacity counted both as private headroom and as shared
-	// backfill reserve.
-	//schedlint:snapfield stale-low-sound lower bound; the first pass after restore recomputes it
-	minNeed int
-	//schedlint:snapfield cache of the re-attached mechanism's FlexibleMalleable
-	flexible bool // mech.FlexibleMalleable(), cached at construction
 
 	//schedlint:snapfield scratch planner; holds no cross-pass state worth a checkpoint
 	planner policy.Planner
@@ -358,10 +343,7 @@ func New(cfg Config, jobs []*job.Job, mech Mechanism) (*Engine, error) {
 		squatted:     make(map[int]int),
 	}
 	e.sw = cfg.Stopwatch
-	e.odFirst = mech.QueueOnDemandFirst()
-	e.flexible = mech.FlexibleMalleable()
-	e.minNeed = maxIntVal
-	e.sortedQueue = !cfg.Reference && policy.TimeInvariant(cfg.Policy)
+	e.queue = policy.NewQueue(cfg.Policy, mech.QueueOnDemandFirst(), mech.FlexibleMalleable(), !cfg.Reference)
 	if cfg.ReleaseCompleted {
 		e.met.EnableStreaming()
 	}
@@ -541,13 +523,13 @@ func (e *Engine) RunningAll() []*job.Job {
 // QueuedJobs returns the waiting queue in its current order. The slice is
 // freshly allocated.
 func (e *Engine) QueuedJobs() []*job.Job {
-	out := make([]*job.Job, len(e.queue))
-	copy(out, e.queue)
+	out := make([]*job.Job, e.queue.Len())
+	copy(out, e.queue.Jobs())
 	return out
 }
 
 // QueueDepth returns the number of jobs in the waiting queue.
-func (e *Engine) QueueDepth() int { return len(e.queue) }
+func (e *Engine) QueueDepth() int { return e.queue.Len() }
 
 // Nodes returns the system size.
 func (e *Engine) Nodes() int { return e.cfg.Nodes }
@@ -779,7 +761,7 @@ func (e *Engine) Report() metrics.Report { return e.met.Report() }
 // manager would time such holds out. Returns true if anything was released.
 func (e *Engine) breakHoldDeadlock() bool {
 	released := false
-	for _, j := range e.queue {
+	for _, j := range e.queue.Jobs() {
 		if e.cl.ReservedCount(j.ID) > 0 {
 			e.cl.UnreserveAll(j.ID)
 			released = true
@@ -958,45 +940,8 @@ func (e *Engine) enqueue(j *job.Job) {
 		return
 	}
 	j.State = job.Waiting
-	if e.sortedQueue {
-		// Insert at the policy-order position. The built-in orderings are
-		// total (ties break by ID), so the incremental order matches what
-		// re-sorting the whole queue each pass used to produce.
-		i := sort.Search(len(e.queue), func(k int) bool {
-			return !policy.Less(e.queue[k], j, e.cfg.Policy, e.clk, e.odFirst)
-		})
-		e.queue = append(e.queue, nil)
-		copy(e.queue[i+1:], e.queue[i:])
-		e.queue[i] = j
-	} else {
-		e.queue = append(e.queue, j)
-	}
+	e.queue.Insert(j, e.clk)
 	ent.inQueue = true
-	if need := e.startNeedOf(j); need < e.minNeed {
-		e.minNeed = need
-	}
-}
-
-// maxIntVal is the minNeed sentinel for an empty queue.
-const maxIntVal = int(^uint(0) >> 1)
-
-// startNeedOf is the smallest node count that lets j start: its minimum size
-// under flexible malleable sizing, its full size otherwise.
-func (e *Engine) startNeedOf(j *job.Job) int {
-	if e.flexible && j.Class == job.Malleable {
-		return j.MinSize
-	}
-	return j.Size
-}
-
-// recomputeMinNeed restores minNeed to the exact queue minimum.
-func (e *Engine) recomputeMinNeed() {
-	e.minNeed = maxIntVal
-	for _, j := range e.queue {
-		if need := e.startNeedOf(j); need < e.minNeed {
-			e.minNeed = need
-		}
-	}
 }
 
 func (e *Engine) removeFromQueue(j *job.Job) {
@@ -1004,18 +949,8 @@ func (e *Engine) removeFromQueue(j *job.Job) {
 	if !ent.inQueue {
 		return
 	}
-	for i, q := range e.queue {
-		if q.ID == j.ID {
-			copy(e.queue[i:], e.queue[i+1:])
-			e.queue[len(e.queue)-1] = nil
-			e.queue = e.queue[:len(e.queue)-1]
-			break
-		}
-	}
+	e.queue.Remove(j, e.clk)
 	ent.inQueue = false
-	if len(e.queue) == 0 {
-		e.minNeed = maxIntVal
-	}
 }
 
 func (e *Engine) requestSchedule() {

@@ -21,14 +21,14 @@ func (e *Engine) schedulePass() {
 		// planner sees it, on both engine paths identically.
 		e.drainAbsorb()
 	}
-	if len(e.queue) == 0 {
+	if e.queue.Len() == 0 {
 		return
 	}
 	if e.cfg.Reference {
-		policy.Sort(e.queue, e.cfg.Policy, e.clk, e.odFirst)
+		e.queue.Sort(e.clk)
 		ri := e.referenceRunningInfo()
 		own := func(j *job.Job) int { return e.cl.ReservedCount(j.ID) }
-		starts := policy.PlanEASY(e.clk, e.queue, ri, e.cl.FreeCount(), e.backfillExtraCount(), own, e.mech.FlexibleMalleable())
+		starts := policy.PlanEASY(e.clk, e.queue.Jobs(), ri, e.cl.FreeCount(), e.backfillExtraCount(), own, e.mech.FlexibleMalleable())
 		for _, s := range starts {
 			e.startJob(s.J, s.Size, true)
 		}
@@ -42,25 +42,21 @@ func (e *Engine) schedulePass() {
 	// reserved capacity counted once as a job's private headroom and once as
 	// the shared backfill reserve (the two draws can name the same nodes in
 	// the planner's accounting, so the sound bound takes both). The planner
-	// would provably return zero starts — skip it. The queue is untouched by
-	// a skipped pass, so minNeed and the maintained order stay valid; skips
-	// apply only with an incrementally sorted queue, since time-dependent
-	// policies re-sort (an observable reordering) on every pass.
-	if e.sortedQueue && e.minNeed > free+2*reserved {
+	// would provably return zero starts — skip it. Skips apply only to an
+	// incremental queue, since time-dependent policies re-sort (an observable
+	// reordering) on every pass.
+	if e.queue.Incremental() && e.queue.MinNeed() > free+2*reserved {
 		return
 	}
-	if !e.sortedQueue {
-		policy.Sort(e.queue, e.cfg.Policy, e.clk, e.odFirst)
-	}
+	e.queue.Sort(e.clk)
 	var own func(j *job.Job) int
 	if reserved > 0 {
 		own = func(j *job.Job) int { return e.cl.ReservedCount(j.ID) }
 	}
-	starts := e.planner.PlanEASYSorted(e.clk, e.queue, e.rel, e.relVer, free, e.backfillExtraCount(), own, e.flexible)
+	starts := e.planner.PlanEASYSorted(e.clk, &e.queue, e.rel, e.relVer, free, e.backfillExtraCount(), reserved, own)
 	for _, s := range starts {
 		e.startJob(s.J, s.Size, true)
 	}
-	e.recomputeMinNeed()
 }
 
 // backfillExtraCount sums the reserved nodes of claims currently marked

@@ -122,8 +122,8 @@ func (e *Engine) Snapshot() ([]byte, error) {
 	}
 
 	// Waiting queue and running set, by job ID, order preserved verbatim.
-	ids := make([]int, len(e.queue))
-	for i, j := range e.queue {
+	ids := make([]int, e.queue.Len())
+	for i, j := range e.queue.Jobs() {
 		ids[i] = j.ID
 	}
 	enc.Ints(ids)
@@ -360,6 +360,9 @@ func (e *Engine) LoadSnapshot(data []byte) error {
 	queue, err := resolve(d.Ints())
 	if err != nil {
 		return err
+	}
+	if !e.queue.Admits(queue, clk) {
+		return d.Failf("waiting queue repeats a job or breaks policy order")
 	}
 	running, err := resolve(d.Ints())
 	if err != nil {
@@ -598,7 +601,7 @@ func (e *Engine) LoadSnapshot(data []byte) error {
 	e.dispatched = dispatched
 	e.primed = primed
 	e.schedPending = schedPending
-	e.queue = queue
+	e.queue.Load(queue)
 	e.running = running
 	e.cl = cl
 	e.met = met
@@ -609,8 +612,9 @@ func (e *Engine) LoadSnapshot(data []byte) error {
 	e.q = q
 	// Rebuild the optimized path's incremental scheduler state: the release
 	// list (the running set is ascending-ID, so appending and sorting by
-	// (EstEnd, ID) reproduces exactly what live maintenance held), the
-	// queue-minimum bound, and a fresh planner with no memoized shadow.
+	// (EstEnd, ID) reproduces exactly what live maintenance held) and a fresh
+	// planner with no memoized shadow. Load above dropped the queue's need
+	// index; the next pass rebuilds it.
 	e.rel = e.rel[:0]
 	if !e.cfg.Reference {
 		for _, j := range running {
@@ -625,7 +629,6 @@ func (e *Engine) LoadSnapshot(data []byte) error {
 	}
 	e.relVer++
 	e.planner = policy.Planner{}
-	e.recomputeMinNeed()
 	e.err = nil
 	return nil
 }

@@ -2,6 +2,7 @@ package simtest
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
 )
 
@@ -57,6 +58,69 @@ func TestDifferentialBackfillReserved(t *testing.T) {
 				if !bytes.Equal(opt, ref) {
 					t.Fatalf("optimized and reference reports diverge with BackfillReserved\noptimized: %s\nreference: %s",
 						truncate(opt), truncate(ref))
+				}
+			})
+		}
+	}
+}
+
+// TestDifferentialPolicies adds the other built-in queue orderings to the
+// differential check, which otherwise runs every cell under fcfs: sjf and
+// ljf keep the queue sorted incrementally and backfill over the need index,
+// wfp3 re-sorts it every pass. Cells run with and without BackfillReserved.
+func TestDifferentialPolicies(t *testing.T) {
+	for _, pol := range []string{"sjf", "ljf", "wfp3"} {
+		for _, mech := range []string{"baseline", "N&SPAA", "CUA&PAA", "CUP&SPAA"} {
+			for _, mix := range []string{"W2", "W4"} {
+				for _, bf := range []bool{false, true} {
+					sc := testScale(mech, mix)
+					sc.Policy = pol
+					sc.BackfillReserved = bf
+					t.Run(fmt.Sprintf("%s/%s/%s/backfill-reserved=%v", pol, mech, mix, bf), func(t *testing.T) {
+						t.Parallel()
+						opt, ref, err := Differential(sc)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if !bytes.Equal(opt, ref) {
+							t.Fatalf("optimized and reference reports diverge\noptimized: %s\nreference: %s",
+								truncate(opt), truncate(ref))
+						}
+					})
+				}
+			}
+		}
+	}
+}
+
+// TestDifferentialStreamed puts the ReleaseCompleted streaming mode under the
+// oracle: for every mechanism × mix cell, a streamed run on the optimized
+// path must emit the reference path's event stream, event for event.
+// Streamed reports drop per-job data; the events compare directly.
+func TestDifferentialStreamed(t *testing.T) {
+	for _, mech := range Mechanisms() {
+		for _, mix := range Mixes() {
+			sc := testScale(mech, mix)
+			t.Run(mech+"/"+mix, func(t *testing.T) {
+				t.Parallel()
+				streamed, ref := sc, sc
+				streamed.ReleaseCompleted = true
+				ref.Reference = true
+				got, err := Events(streamed)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want, err := Events(ref)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for i := range min(len(got), len(want)) {
+					if got[i] != want[i] {
+						t.Fatalf("event %d: streamed %+v, reference %+v", i, got[i], want[i])
+					}
+				}
+				if len(got) != len(want) {
+					t.Fatalf("streamed run emitted %d events, reference %d", len(got), len(want))
 				}
 			})
 		}

@@ -47,6 +47,16 @@ type Scenario struct {
 	Validate  bool // check the cluster partition invariant after every event
 	Reference bool // drive the retained naive reference path of the engine
 
+	// Policy names the waiting-queue ordering ("" = fcfs; see
+	// registry.PolicyByName). sjf and ljf keep the queue sorted
+	// incrementally; wfp3 re-sorts it every pass.
+	Policy string
+
+	// ReleaseCompleted runs the engine in its streaming mode, which forgets
+	// each job at completion; reports then carry no per-job data, so such
+	// runs compare by their event streams (see Events).
+	ReleaseCompleted bool
+
 	// BackfillReserved lets backfill candidates squat on nodes reserved for
 	// pending on-demand jobs (paper §III-B.1). It routes the planner through
 	// the reserved-headroom accounting, so differential cells with it on pin
@@ -97,11 +107,17 @@ func NewEngine(sc Scenario, records []trace.Record) (*sim.Engine, error) {
 			MeanRepair: sc.FaultRepair,
 		})
 	}
+	ord := registry.PolicyByName(sc.Policy)
+	if ord == nil {
+		return nil, fmt.Errorf("simtest: unknown policy %q", sc.Policy)
+	}
 	return sim.New(sim.Config{
 		Nodes:            sc.Nodes,
+		Policy:           ord,
 		Validate:         sc.Validate,
 		Reference:        sc.Reference,
 		BackfillReserved: sc.BackfillReserved,
+		ReleaseCompleted: sc.ReleaseCompleted,
 	}, jobs, mech)
 }
 
@@ -116,6 +132,25 @@ func Run(sc Scenario) (metrics.Report, error) {
 		return metrics.Report{}, err
 	}
 	return e.Run()
+}
+
+// Events runs the scenario to completion and returns its typed event
+// stream, in dispatch order.
+func Events(sc Scenario) ([]sim.Event, error) {
+	records, err := sc.Records()
+	if err != nil {
+		return nil, err
+	}
+	e, err := NewEngine(sc, records)
+	if err != nil {
+		return nil, err
+	}
+	var evs []sim.Event
+	e.SetEventSink(func(ev sim.Event) { evs = append(evs, ev) })
+	if _, err := e.Run(); err != nil {
+		return nil, fmt.Errorf("simtest: %s/%s: %w", sc.Mechanism, sc.Mix, err)
+	}
+	return evs, nil
 }
 
 // ReportJSON canonicalizes a report for byte-level comparison: the two
