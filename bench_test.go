@@ -221,7 +221,7 @@ func BenchmarkExtensionFaults(b *testing.B) {
 				}
 				b.ReportMetric(100*rep.Utilization, "util-%")
 				b.ReportMetric(100*rep.Breakdown.Lost, "lost-%")
-				b.ReportMetric(float64(inj.Failures), "failures")
+				b.ReportMetric(float64(rep.FailuresInjected), "failures")
 			}
 		})
 	}

@@ -21,9 +21,10 @@ const maxRestoreNodes = 1 << 24
 
 // Checkpoint serializes the complete session state — configuration recipe,
 // every job with its execution state, the cluster partition including failed
-// and drained nodes, pending events with their tie-breaking sequence numbers,
-// metrics accumulators, and the scheduler's and fault injector's private
-// state (including RNG positions) — as one versioned, CRC-checked frame.
+// and drained nodes, pending events with their tie-breaking sequence numbers
+// (injected failures included, each with its drawn victim and repair time),
+// metrics accumulators, and the scheduler's private state — as one
+// versioned, CRC-checked frame.
 // A session restored from the frame with Restore continues the run
 // byte-identically: its final Report matches the uninterrupted run's exactly
 // (up to the wall-clock decision-latency fields, which measure host time).
@@ -35,7 +36,6 @@ const maxRestoreNodes = 1 << 24
 //   - sessions built with WithScheduler (register the scheduler by name and
 //     select it with WithMechanism instead);
 //   - schedulers that do not implement the engine's snapshot extension;
-//   - fault configurations with a custom RepairTime function;
 //   - sessions whose attached Sources still hold undrawn records (the engine
 //     cannot capture jobs it has not seen; drain the sources first or submit
 //     records directly).
@@ -45,9 +45,6 @@ func (s *Session) Checkpoint(w io.Writer) error {
 	}
 	if !s.sourcesDrained() {
 		return errors.New("hybridsched: checkpoint with undrained sources: records they have not yielded yet would be lost on restore")
-	}
-	if fc := s.ckpt.faults; fc != nil && fc.RepairTime != nil {
-		return errors.New("hybridsched: sessions with a custom RepairTime function cannot be checkpointed")
 	}
 	blob, err := s.eng.Snapshot()
 	if err != nil {

@@ -1,11 +1,10 @@
 // Package seededrand forbids global and wall-clock-derived randomness.
 // Every random draw in this repository must flow from an explicitly seeded
 // source whose seed derives from run coordinates (experiment, seed index,
-// shard) — the rule that makes sweeps reproducible cell by cell and lets the
-// fault injector's stream position survive a checkpoint. The package-level
-// math/rand functions draw from a shared, racily-advanced global source, and
-// time-seeded sources differ on every run; both are silent determinism
-// leaks.
+// shard) — the rule that makes sweeps reproducible cell by cell. The
+// package-level math/rand functions draw from a shared, racily-advanced
+// global source, and time-seeded sources differ on every run; both are
+// silent determinism leaks.
 package seededrand
 
 import (

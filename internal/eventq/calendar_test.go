@@ -5,34 +5,77 @@ import (
 	"testing"
 )
 
+// refQueue is the oracle the calendar queue is pinned to: an unsorted slice
+// scanned for the earliest event under before. It numbers pushes exactly as
+// Queue does, so one operation program must dispatch the same
+// (Time, Prio, seq) stream from both.
+type refQueue struct {
+	evs []*Event
+	seq uint64
+}
+
+func (r *refQueue) Push(t int64, p Priority) *Event {
+	e := &Event{Time: t, Prio: p, seq: r.seq}
+	r.seq++
+	r.evs = append(r.evs, e)
+	return e
+}
+
+// Pop removes and returns the earliest event, or nil when empty.
+func (r *refQueue) Pop() *Event {
+	if len(r.evs) == 0 {
+		return nil
+	}
+	m := 0
+	for i, e := range r.evs {
+		if before(e, r.evs[m]) {
+			m = i
+		}
+	}
+	e := r.evs[m]
+	r.evs = append(r.evs[:m], r.evs[m+1:]...)
+	return e
+}
+
+// Cancel removes e if it is still queued.
+func (r *refQueue) Cancel(e *Event) {
+	for i, x := range r.evs {
+		if x == e {
+			r.evs = append(r.evs[:i], r.evs[i+1:]...)
+			return
+		}
+	}
+}
+
+func (r *refQueue) Len() int { return len(r.evs) }
+
 // drainAll pops both queues to exhaustion, requiring identical dispatch.
-func drainAll(t *testing.T, cal, ref *Queue) {
+func drainAll(t *testing.T, cal *Queue, ref *refQueue) {
 	t.Helper()
 	for {
 		a, b := cal.Pop(), ref.Pop()
 		if (a == nil) != (b == nil) {
-			t.Fatalf("length divergence: calendar=%v heap=%v", a != nil, b != nil)
+			t.Fatalf("length divergence: calendar=%v reference=%v", a != nil, b != nil)
 		}
 		if a == nil {
 			return
 		}
 		if a.Time != b.Time || a.Prio != b.Prio || a.seq != b.seq {
-			t.Fatalf("dispatch divergence: calendar (t=%d p=%d seq=%d) vs heap (t=%d p=%d seq=%d)",
+			t.Fatalf("dispatch divergence: calendar (t=%d p=%d seq=%d) vs reference (t=%d p=%d seq=%d)",
 				a.Time, a.Prio, a.seq, b.Time, b.Prio, b.seq)
 		}
 	}
 }
 
-// TestCalendarMatchesHeapRandom drives the two backends through identical
-// randomized Push/Pop/Cancel/Recycle interleavings and requires identical
-// dispatch order throughout.
+// TestCalendarMatchesHeapRandom drives the calendar and reference queues
+// through identical randomized Push/Pop/Cancel/Recycle interleavings and
+// requires identical dispatch order throughout.
 func TestCalendarMatchesHeapRandom(t *testing.T) {
 	for seed := int64(1); seed <= 20; seed++ {
 		rng := rand.New(rand.NewSource(seed))
-		var cal, ref Queue
-		ref.UseHeap()
+		var cal Queue
+		var ref refQueue
 		cal.EnablePooling()
-		ref.EnablePooling()
 		type pair struct{ c, r *Event }
 		var livePairs []pair
 		clock := int64(0)
@@ -46,7 +89,7 @@ func TestCalendarMatchesHeapRandom(t *testing.T) {
 				tm := clock + dt
 				p := Priority(rng.Intn(7))
 				c := cal.Push(tm, p, op)
-				r := ref.Push(tm, p, op)
+				r := ref.Push(tm, p)
 				livePairs = append(livePairs, pair{c, r})
 			case k < 8: // pop (and sometimes recycle)
 				a, b := cal.Pop(), ref.Pop()
@@ -69,7 +112,6 @@ func TestCalendarMatchesHeapRandom(t *testing.T) {
 				}
 				if rng.Intn(2) == 0 {
 					cal.Recycle(a)
-					ref.Recycle(b)
 				}
 			default: // cancel a random live handle
 				if len(livePairs) == 0 {
@@ -90,23 +132,23 @@ func TestCalendarMatchesHeapRandom(t *testing.T) {
 }
 
 // TestCalendarOrderedMatchesHeap pins the serialization iteration to the
-// heap's on both backends.
+// reference queue's dispatch order.
 func TestCalendarOrderedMatchesHeap(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	var cal, ref Queue
-	ref.UseHeap()
+	var cal Queue
+	var ref refQueue
 	for i := 0; i < 500; i++ {
 		tm := int64(rng.Intn(1000))
 		p := Priority(rng.Intn(7))
 		cal.Push(tm, p, i)
-		ref.Push(tm, p, i)
+		ref.Push(tm, p)
 	}
-	co, ro := cal.Ordered(), ref.Ordered()
-	if len(co) != len(ro) {
-		t.Fatalf("Ordered length %d vs %d", len(co), len(ro))
+	co := cal.Ordered()
+	if len(co) != ref.Len() {
+		t.Fatalf("Ordered length %d vs %d", len(co), ref.Len())
 	}
-	for i := range co {
-		if co[i].Time != ro[i].Time || co[i].Prio != ro[i].Prio || co[i].seq != ro[i].seq {
+	for i, c := range co {
+		if r := ref.Pop(); c.Time != r.Time || c.Prio != r.Prio || c.seq != r.seq {
 			t.Fatalf("Ordered[%d] diverges", i)
 		}
 	}
@@ -187,17 +229,16 @@ func TestCalendarContainsAndCancel(t *testing.T) {
 }
 
 // FuzzQueueEquivalence feeds interleaved Push/Pop/Cancel/Recycle programs to
-// both backends and requires dispatch-order equivalence — the calendar queue
-// is pinned to the heap under arbitrary operation mixes, not just the
-// simulator's.
+// the calendar and reference queues and requires dispatch-order equivalence —
+// the calendar queue is pinned to the reference under arbitrary operation
+// mixes, not just the simulator's.
 func FuzzQueueEquivalence(f *testing.F) {
 	f.Add([]byte{0, 1, 2, 3, 4, 5, 250, 251, 7, 8})
 	f.Add([]byte{10, 10, 10, 128, 128, 200, 200, 1, 2, 3, 4, 5, 6})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		var cal, ref Queue
-		ref.UseHeap()
+		var cal Queue
+		var ref refQueue
 		cal.EnablePooling()
-		ref.EnablePooling()
 		type pair struct{ c, r *Event }
 		var live []pair
 		base := int64(0)
@@ -207,11 +248,11 @@ func FuzzQueueEquivalence(f *testing.F) {
 			case 0: // push near the current base
 				tm := base + arg
 				p := Priority(op % 7)
-				live = append(live, pair{cal.Push(tm, p, i), ref.Push(tm, p, i)})
+				live = append(live, pair{cal.Push(tm, p, i), ref.Push(tm, p)})
 			case 1: // push far ahead (exercise sparse windows / resize)
 				tm := base + arg*arg*37
 				p := Priority(op % 7)
-				live = append(live, pair{cal.Push(tm, p, i), ref.Push(tm, p, i)})
+				live = append(live, pair{cal.Push(tm, p, i), ref.Push(tm, p)})
 			case 2: // pop and optionally recycle
 				a, b := cal.Pop(), ref.Pop()
 				if (a == nil) != (b == nil) {
@@ -233,7 +274,6 @@ func FuzzQueueEquivalence(f *testing.F) {
 				}
 				if arg%2 == 0 {
 					cal.Recycle(a)
-					ref.Recycle(b)
 				}
 			case 3: // cancel an arbitrary live handle
 				if len(live) == 0 {
@@ -248,17 +288,6 @@ func FuzzQueueEquivalence(f *testing.F) {
 				t.Fatalf("Len divergence %d vs %d", cal.Len(), ref.Len())
 			}
 		}
-		for {
-			a, b := cal.Pop(), ref.Pop()
-			if (a == nil) != (b == nil) {
-				t.Fatal("drain presence divergence")
-			}
-			if a == nil {
-				break
-			}
-			if a.Time != b.Time || a.Prio != b.Prio || a.seq != b.seq {
-				t.Fatal("drain dispatch divergence")
-			}
-		}
+		drainAll(t, &cal, &ref)
 	})
 }

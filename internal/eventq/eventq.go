@@ -7,21 +7,16 @@
 // can be cancelled cheaply, which the mechanisms use to withdraw planned
 // preemptions and reservation timeouts when an on-demand job arrives early.
 //
-// Two backends implement the same total order. The default is a calendar
-// queue (Brown, CACM'88): a power-of-two ring of sorted buckets indexed by
-// floor(Time/width), which makes Push/Pop amortized O(1) for the
-// near-monotone event populations a simulation produces — the binary heap's
-// O(log n) per operation is one of the superlinear walls between the engine
-// and multi-million-event traces. UseHeap switches an empty queue to the
-// retained binary-heap backend; the naive reference engine path runs on it,
-// and the calendar queue is differentially tested against it (dispatch-order
-// equivalence under fuzzed Push/Pop/Cancel/Recycle interleavings).
+// The queue is a calendar queue (Brown, CACM'88): a power-of-two ring of
+// sorted buckets indexed by floor(Time/width), which makes Push/Pop amortized
+// O(1) for the near-monotone event populations a simulation produces — a
+// binary heap's O(log n) per operation is one of the superlinear walls
+// between the engine and multi-million-event traces. The package tests pin
+// its dispatch order to a naive reference queue under fuzzed
+// Push/Pop/Cancel/Recycle interleavings.
 package eventq
 
-import (
-	"container/heap"
-	"sort"
-)
+import "sort"
 
 // Priority orders events that fire at the same instant. Lower values
 // dispatch first. The ordering encodes the scheduling semantics of the
@@ -47,8 +42,7 @@ type Event struct {
 	Prio    Priority
 	Payload any
 	seq     uint64
-	// index locates the event inside its backend — the heap position, or the
-	// calendar bucket it was placed in. -1 once removed.
+	// index is the calendar bucket the event was placed in; -1 once removed.
 	index    int
 	canceled bool
 	pooled   bool // on the free list, awaiting reuse
@@ -61,18 +55,14 @@ func (e *Event) Canceled() bool { return e.canceled }
 const minBuckets = 4
 
 // Queue is a deterministic priority queue of events. The zero value is ready
-// to use and runs on the calendar backend; see UseHeap.
+// to use.
 type Queue struct {
-	// heapMode selects the retained binary-heap backend (see UseHeap).
-	heapMode bool
-	h        eventHeap
-
-	// Calendar backend: a power-of-two ring of buckets, each sorted by the
-	// dispatch order. An event at time t lives in bucket
-	// floorDiv(t, width) & (len(buckets)-1). lastT is a lower bound on the
-	// minimum live event time: Pop raises it to the dispatched time, Push
-	// lowers it when an event lands in the past (mechanisms schedule at the
-	// current instant), so the bucket scan always starts at the right window.
+	// A power-of-two ring of buckets, each sorted by the dispatch order. An
+	// event at time t lives in bucket floorDiv(t, width) & (len(buckets)-1).
+	// lastT is a lower bound on the minimum live event time: Pop raises it to
+	// the dispatched time, Push lowers it when an event lands in the past
+	// (mechanisms schedule at the current instant), so the bucket scan always
+	// starts at the right window.
 	buckets [][]*Event
 	width   int64
 	lastT   int64
@@ -92,24 +82,9 @@ type Queue struct {
 // its mechanism-held timer handles are never recycled).
 func (q *Queue) EnablePooling() { q.pooling = true }
 
-// UseHeap switches an empty queue to the binary-heap backend — the naive
-// reference implementation the calendar queue is pinned byte-identical to.
-// It must be called before the first Push.
-func (q *Queue) UseHeap() {
-	if q.Len() != 0 {
-		panic("eventq: UseHeap on a non-empty queue")
-	}
-	q.heapMode = true
-}
-
 // Len returns the number of live (non-cancelled) events.
 // Cancelled events are removed eagerly, so this is exact.
-func (q *Queue) Len() int {
-	if q.heapMode {
-		return len(q.h)
-	}
-	return q.n
-}
+func (q *Queue) Len() int { return q.n }
 
 // Push schedules payload at time t with priority p and returns a handle that
 // can be used to cancel it.
@@ -128,12 +103,8 @@ func (q *Queue) Push(t int64, p Priority, payload any) *Event {
 	return e
 }
 
-// insert places e into the active backend.
+// insert places e into the calendar.
 func (q *Queue) insert(e *Event) {
-	if q.heapMode {
-		heap.Push(&q.h, e)
-		return
-	}
 	if q.buckets == nil {
 		q.buckets = make([][]*Event, minBuckets)
 		q.width = 1
@@ -236,12 +207,6 @@ func (q *Queue) removeAt(b, i int) {
 // Pop removes and returns the earliest event. It returns nil when the queue
 // is empty.
 func (q *Queue) Pop() *Event {
-	if q.heapMode {
-		if len(q.h) == 0 {
-			return nil
-		}
-		return heap.Pop(&q.h).(*Event)
-	}
 	b, e := q.findMin()
 	if e == nil {
 		return nil
@@ -253,25 +218,13 @@ func (q *Queue) Pop() *Event {
 
 // Peek returns the earliest event without removing it, or nil when empty.
 func (q *Queue) Peek() *Event {
-	if q.heapMode {
-		if len(q.h) == 0 {
-			return nil
-		}
-		return q.h[0]
-	}
 	_, e := q.findMin()
 	return e
 }
 
 // scheduled reports whether e is currently stored in q.
 func (q *Queue) scheduled(e *Event) bool {
-	if e.index < 0 {
-		return false
-	}
-	if q.heapMode {
-		return e.index < len(q.h) && q.h[e.index] == e
-	}
-	if e.index >= len(q.buckets) {
+	if e.index < 0 || e.index >= len(q.buckets) {
 		return false
 	}
 	for _, x := range q.buckets[e.index] {
@@ -290,12 +243,6 @@ func (q *Queue) Cancel(e *Event) {
 	}
 	debugCancel(e)
 	e.canceled = true
-	if q.heapMode {
-		if e.index >= 0 && e.index < len(q.h) && q.h[e.index] == e {
-			heap.Remove(&q.h, e.index)
-		}
-		return
-	}
 	if b := e.index; b >= 0 && b < len(q.buckets) {
 		for i, x := range q.buckets[b] {
 			if x == e {
@@ -349,30 +296,4 @@ func floorDiv(a, w int64) int64 {
 		d--
 	}
 	return d
-}
-
-type eventHeap []*Event
-
-func (h eventHeap) Len() int           { return len(h) }
-func (h eventHeap) Less(i, j int) bool { return before(h[i], h[j]) }
-func (h eventHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].index = i
-	h[j].index = j
-}
-
-func (h *eventHeap) Push(x any) {
-	e := x.(*Event)
-	e.index = len(*h)
-	*h = append(*h, e)
-}
-
-func (h *eventHeap) Pop() any {
-	old := *h
-	n := len(old)
-	e := old[n-1]
-	old[n-1] = nil
-	e.index = -1
-	*h = old[:n-1]
-	return e
 }

@@ -15,9 +15,6 @@ func (q *Queue) SeqCounter() uint64 { return q.seq }
 
 // live appends every live event to out, in no particular order.
 func (q *Queue) live(out []*Event) []*Event {
-	if q.heapMode {
-		return append(out, q.h...)
-	}
 	for _, bk := range q.buckets {
 		out = append(out, bk...)
 	}
@@ -27,8 +24,7 @@ func (q *Queue) live(out []*Event) []*Event {
 // Ordered returns every live event in dispatch order — the exact order Pop
 // would deliver them — without disturbing the queue. Cancelled events are
 // removed eagerly, so the result is precisely the pending event set; it is
-// the canonical iteration for serializing queue contents, identical for both
-// backends.
+// the canonical iteration for serializing queue contents.
 func (q *Queue) Ordered() []*Event {
 	out := q.live(make([]*Event, 0, q.Len()))
 	sort.Slice(out, func(i, j int) bool { return before(out[i], out[j]) })

@@ -5,23 +5,27 @@
 // their setup (completed tasks are durable), on-demand jobs are assumed to
 // rerun from scratch.
 //
-// The injector remains a Mechanism decorator for compatibility — Wrap any
-// sim.Mechanism and hand the result to the engine — but the failure
-// semantics now live in the engine's availability model (sim.Engine.FailNode
-// and the cluster's down pool): each failure strikes one uniformly random
-// node of the system, and with Config.MeanRepair set the node leaves service
-// for a drawn repair time, shrinking the capacity every scheduler pass plans
-// against until the engine-level repair event restores it. With MeanRepair
-// zero the injector keeps the instant-repair shortcut — failed nodes rejoin
-// the free pool immediately and the cluster never shrinks — which DESIGN.md
-// documents as an explicit simplification. Note that victim selection also
-// changed with the rewrite: the old decorator always struck a running job
-// (weighted by its node count), while a uniform node strike misses whenever
-// it lands on a free or reserved node, so even MeanRepair=0 results are not
-// numerically comparable with pre-availability releases.
+// Wrap any sim.Mechanism and hand the result to the engine: the wrapper's
+// Attach schedules the whole failure timeline as engine node-failure events
+// (sim.Engine.ScheduleNodeFailure), and every other callback is the wrapped
+// mechanism's. The failure semantics live in the engine's availability model
+// (sim.Engine.FailNode and the cluster's down pool): each failure strikes one
+// uniformly random node of the system, and with Config.MeanRepair set the
+// node leaves service for a drawn repair time, shrinking the capacity every
+// scheduler pass plans against until the engine-level repair event restores
+// it. With MeanRepair zero the injector keeps the instant-repair shortcut —
+// failed nodes rejoin the free pool immediately and the cluster never
+// shrinks — which DESIGN.md documents as an explicit simplification. Note
+// that victim selection also changed with the availability rewrite: the old
+// decorator always struck a running job (weighted by its node count), while
+// a uniform node strike misses whenever it lands on a free or reserved node,
+// so even MeanRepair=0 results are not numerically comparable with
+// pre-availability releases.
 //
 // The failure timeline is an exponential inter-arrival process drawn at
-// attach time (so runs stay deterministic and the event queue stays finite).
+// attach time, victims and repair times included (so runs stay
+// deterministic, the event queue stays finite, and an engine snapshot
+// captures every pending failure with its repair time).
 // Arrival instants accumulate in float64 and are rounded once per event:
 // truncating each draw independently — the pre-availability behavior —
 // floors every inter-arrival gap, which collapses sub-second draws to zero
@@ -30,11 +34,11 @@
 package faults
 
 import (
+	"fmt"
 	"math"
 
-	"hybridsched/internal/job"
-	"hybridsched/internal/nodeset"
 	"hybridsched/internal/sim"
+	"hybridsched/internal/snapshot"
 	"hybridsched/internal/stats"
 )
 
@@ -57,34 +61,20 @@ type Config struct {
 	// MeanRepair is positive): it maps one uniform variate u in [0,1) —
 	// drawn from the injector's seeded stream, so runs stay deterministic —
 	// to a repair time in seconds (an inverse CDF; ignore u for a fixed
-	// repair time). The default draws Exponential(MeanRepair).
+	// repair time). It is called at attach time, once per scheduled failure
+	// in firing order. The default draws Exponential(MeanRepair).
 	RepairTime func(u float64) float64
 }
 
 // Injector wraps a mechanism with fault injection. It satisfies
-// sim.Mechanism.
+// sim.Mechanism: every callback but Attach and Name is the wrapped
+// mechanism's own. Attach lays the whole failure timeline out as engine
+// node-failure events, so the injector itself holds no run state.
 type Injector struct {
-	//schedlint:snapfield wrapped mechanism snapshots itself via snapshotInner; the wrapper only chains
-	inner sim.Mechanism
-	cfg   Config
-	rng   *stats.RNG
-	//schedlint:snapfield engine pointer, re-attached by Attach on restore
-	e *sim.Engine
-
-	// Failures counts injected failures that struck a job holding the failed
-	// node, over the whole pre-drawn timeline. The engine mirrors the
-	// counters into the run's metrics.Report (FailuresInjected /
-	// FailureMisses) clipped to the observation window — timeline events
-	// after the last completion keep counting here but not there — so sweeps
-	// and CSV emitters see horizon-independent telemetry.
-	Failures int
-	// Misses counts failure instants whose node held no job (free, reserved,
-	// or already down), over the whole pre-drawn timeline.
-	Misses int
+	sim.Mechanism
+	//schedlint:snapfield static configuration, replayed through Wrap on restore; drawn failures are engine events
+	cfg Config
 }
-
-// failTag is the injector's private timer payload.
-type failTag struct{ seq int }
 
 // Wrap decorates inner with fault injection under cfg. MTBF and Horizon must
 // be positive; MeanRepair must be non-negative.
@@ -98,7 +88,7 @@ func Wrap(inner sim.Mechanism, cfg Config) *Injector {
 	if cfg.MeanRepair < 0 {
 		panic("faults: MeanRepair must be non-negative")
 	}
-	return &Injector{inner: inner, cfg: cfg, rng: stats.NewRNG(cfg.Seed)}
+	return &Injector{Mechanism: inner, cfg: cfg}
 }
 
 // timeline draws the failure instants of an exponential process with the
@@ -118,76 +108,82 @@ func timeline(rng *stats.RNG, mtbf float64, horizon int64) []int64 {
 	}
 }
 
-// Attach wires both layers and lays out the failure timeline within the
-// horizon. Failures dispatch at the availability model's fault priority —
-// after completions, before notices and arrivals — matching the ordering of
-// failures scheduled directly with Engine.ScheduleNodeFailure.
+// Attach attaches the wrapped mechanism, then draws the failure timeline
+// within the horizon and schedules every failure with
+// Engine.ScheduleNodeFailure. The seeded stream yields all instants first,
+// then each failure's node and repair time in firing order. Each failure
+// strikes one uniformly random node of the system, so a running job's strike
+// probability is proportional to its allocation.
 func (i *Injector) Attach(e *sim.Engine) {
-	i.e = e
-	i.inner.Attach(e)
-	for seq, off := range timeline(i.rng, i.cfg.MTBF, i.cfg.Horizon) {
-		e.ScheduleFaultTimer(e.Now()+off, failTag{seq: seq})
+	i.Mechanism.Attach(e)
+	rng := stats.NewRNG(i.cfg.Seed)
+	for _, off := range timeline(rng, i.cfg.MTBF, i.cfg.Horizon) {
+		node := int(rng.UniformInt64(0, int64(e.Nodes())-1))
+		// The node is drawn in range, so scheduling cannot fail.
+		_ = e.ScheduleNodeFailure(e.Now()+off, node, i.repairTime(rng))
 	}
+}
+
+// repairTime draws one failure's repair delay in whole seconds (at least 1),
+// or 0 for instant repair when MeanRepair is zero.
+func (i *Injector) repairTime(rng *stats.RNG) int64 {
+	if i.cfg.MeanRepair <= 0 {
+		return 0
+	}
+	var d float64
+	if i.cfg.RepairTime != nil {
+		d = i.cfg.RepairTime(rng.Float64())
+	} else {
+		d = rng.ExpFloat64(i.cfg.MeanRepair)
+	}
+	return max(int64(math.Round(d)), 1)
 }
 
 // Name reports the wrapped mechanism plus the injection marker.
-func (i *Injector) Name() string { return i.inner.Name() + "+faults" }
+func (i *Injector) Name() string { return i.Mechanism.Name() + "+faults" }
 
-// QueueOnDemandFirst defers to the wrapped mechanism.
-func (i *Injector) QueueOnDemandFirst() bool { return i.inner.QueueOnDemandFirst() }
-
-// FlexibleMalleable defers to the wrapped mechanism.
-func (i *Injector) FlexibleMalleable() bool { return i.inner.FlexibleMalleable() }
-
-// OnNotice forwards.
-func (i *Injector) OnNotice(j *job.Job) { i.inner.OnNotice(j) }
-
-// OnODArrival forwards.
-func (i *Injector) OnODArrival(j *job.Job) bool { return i.inner.OnODArrival(j) }
-
-// OnJobCompleted forwards.
-func (i *Injector) OnJobCompleted(j *job.Job, freed *nodeset.Set) {
-	i.inner.OnJobCompleted(j, freed)
+// snapshotter returns m's snapshot extension, or an error naming m.
+func snapshotter(m sim.Mechanism) (sim.SnapshotMechanism, error) {
+	sm, ok := m.(sim.SnapshotMechanism)
+	if !ok {
+		return nil, fmt.Errorf("faults: wrapped mechanism %q does not support snapshots", m.Name())
+	}
+	return sm, nil
 }
 
-// OnWarningExpired forwards.
-func (i *Injector) OnWarningExpired(j *job.Job, claim int, freed *nodeset.Set) {
-	i.inner.OnWarningExpired(j, claim, freed)
+// EncodeSnapshotState hands to the wrapped mechanism: pending failures are
+// engine events, captured with the engine's queue.
+func (i *Injector) EncodeSnapshotState(e *snapshot.Enc) error {
+	sm, err := snapshotter(i.Mechanism)
+	if err != nil {
+		return err
+	}
+	return sm.EncodeSnapshotState(e)
 }
 
-// OnODStarted forwards.
-func (i *Injector) OnODStarted(j *job.Job) { i.inner.OnODStarted(j) }
-
-// OnTimer intercepts failure events and forwards everything else.
-func (i *Injector) OnTimer(payload any) {
-	if _, ok := payload.(failTag); ok {
-		i.injectFailure()
-		return
+// DecodeSnapshotState hands to the wrapped mechanism.
+func (i *Injector) DecodeSnapshotState(d *snapshot.Dec, rc *sim.RestoreContext) error {
+	sm, err := snapshotter(i.Mechanism)
+	if err != nil {
+		return err
 	}
-	i.inner.OnTimer(payload)
+	return sm.DecodeSnapshotState(d, rc)
 }
 
-// injectFailure fails one uniformly random node of the system — every node
-// is equally likely to fail, so a running job's strike probability is
-// proportional to its allocation — through the engine's availability model.
-func (i *Injector) injectFailure() {
-	node := int(i.rng.UniformInt64(0, int64(i.e.Nodes())-1))
-	repair := int64(0)
-	if i.cfg.MeanRepair > 0 {
-		var d float64
-		if i.cfg.RepairTime != nil {
-			d = i.cfg.RepairTime(i.rng.Float64())
-		} else {
-			d = i.rng.ExpFloat64(i.cfg.MeanRepair)
-		}
-		repair = int64(math.Round(d))
-		if repair < 1 {
-			repair = 1
-		}
+// EncodeTimerPayload hands to the wrapped mechanism, which owns every timer.
+func (i *Injector) EncodeTimerPayload(e *snapshot.Enc, payload any) error {
+	sm, err := snapshotter(i.Mechanism)
+	if err != nil {
+		return err
 	}
-	if i.e.FailNode(node, repair) {
-		i.Failures++
-	} else {
-		i.Misses++
+	return sm.EncodeTimerPayload(e, payload)
+}
+
+// DecodeTimerPayload hands to the wrapped mechanism.
+func (i *Injector) DecodeTimerPayload(d *snapshot.Dec) (any, error) {
+	sm, err := snapshotter(i.Mechanism)
+	if err != nil {
+		return nil, err
 	}
+	return sm.DecodeTimerPayload(d)
 }

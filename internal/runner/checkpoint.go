@@ -111,9 +111,9 @@ func (c *ckptState) finish(s Spec, rep metrics.Report) error {
 // every c.every dispatched events. Interval boundaries are absolute multiples
 // of the interval, so a resumed cell checkpoints at the same instants the
 // uninterrupted one would have. A scheduler that cannot snapshot (no
-// SnapshotMechanism, custom RepairTime) downgrades the cell to an ordinary
-// uncheckpointed run after the first attempt; I/O failures abort the cell —
-// a checkpoint the operator asked for that cannot be written should be loud.
+// SnapshotMechanism) downgrades the cell to an ordinary uncheckpointed run
+// after the first attempt; I/O failures abort the cell — a checkpoint the
+// operator asked for that cannot be written should be loud.
 func runCheckpointed(e *sim.Engine, c *ckptState, s Spec) (metrics.Report, error) {
 	every := c.every
 	next := (e.DispatchedCount()/every + 1) * every

@@ -11,8 +11,8 @@ import (
 
 // ckptGrid is the resume-coverage grid: four cells with faults, repair
 // windows, and an overlapping maintenance drain, so resumed cells must carry
-// the down pool, drain phases, and the injector's RNG position — the state a
-// plain rerun would get wrong.
+// the down pool, drain phases, and pending failures — the state a plain
+// rerun would get wrong.
 func ckptGrid() []Spec {
 	var specs []Spec
 	for _, mech := range []string{"CUA&SPAA", "CUP&PAA"} {

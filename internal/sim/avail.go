@@ -57,8 +57,10 @@ func (e *Engine) DownCount() int { return e.cl.DownCount() }
 func (e *Engine) AvailableNodes() int { return e.cl.AvailableCount() }
 
 // ScheduleNodeFailure schedules node to fail at virtual time t with the given
-// repair delay (see FailNode). Fault injectors lay out failure timelines with
-// it; the node strike and its consequences are resolved when the event fires.
+// repair delay (see FailNode). The fault injector lays out its whole failure
+// timeline with it at attach time; the node strike and its consequences are
+// resolved when the event fires. A pending failure is an ordinary event, so
+// Snapshot captures it, repair delay included.
 func (e *Engine) ScheduleNodeFailure(t int64, node int, repairAfter int64) error {
 	if node < 0 || node >= e.cfg.Nodes {
 		return fmt.Errorf("sim: ScheduleNodeFailure of node %d outside [0,%d)", node, e.cfg.Nodes)

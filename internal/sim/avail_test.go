@@ -5,6 +5,7 @@ import (
 
 	"hybridsched/internal/job"
 	"hybridsched/internal/nodeset"
+	"hybridsched/internal/policy"
 )
 
 // recordEvents installs a sink collecting every emitted event.
@@ -301,6 +302,33 @@ func TestFailNodeOnDownNodeIsANoOp(t *testing.T) {
 	}
 	if rep.DownNodeSeconds != 1000 {
 		t.Fatalf("DownNodeSeconds = %d, want 1000 (one repair window)", rep.DownNodeSeconds)
+	}
+}
+
+func TestFailureOnDownNodeStillRequestsPass(t *testing.T) {
+	// 11 nodes: r holds 8 until t=1000 and node 10 fails at t=5 for the rest
+	// of the run, leaving 2 free. Under WFP3, a (10 nodes) heads the queue
+	// when b (2 nodes) arrives; b cannot backfill — it would outlast r, whose
+	// end is a's shadow, and a leaves no extra nodes — but outranks a from
+	// t~79. The second failure of node 10 at t=100 is a miss that changes
+	// nothing, yet the pass after it re-sorts the queue and starts b as head.
+	r := rigid(1, 0, 8, 1000)
+	a := rigidEst(2, 10, 10, 2000, 2000)
+	b := rigidEst(3, 20, 2, 1000, 1000)
+	e, err := New(Config{Nodes: 11, Policy: policy.WFP3{}, Validate: true}, []*job.Job{r, a, b}, Baseline{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, at := range []int64{5, 100} {
+		if err := e.ScheduleNodeFailure(at, 10, 1<<20); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if b.StartTime != 100 {
+		t.Fatalf("b started at %d, want 100 (the pass after the down-node miss)", b.StartTime)
 	}
 }
 

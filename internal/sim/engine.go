@@ -347,11 +347,7 @@ func New(cfg Config, jobs []*job.Job, mech Mechanism) (*Engine, error) {
 	if cfg.ReleaseCompleted {
 		e.met.EnableStreaming()
 	}
-	if cfg.Reference {
-		// The naive path runs on the retained binary-heap backend — the
-		// oracle the calendar queue is pinned byte-identical to.
-		e.q.UseHeap()
-	} else {
+	if !cfg.Reference {
 		e.q.EnablePooling()
 	}
 	for _, j := range jobs {
@@ -821,6 +817,11 @@ func (e *Engine) dispatch(ev *eventq.Event) {
 		e.requestSchedule()
 	case evNodeDown:
 		e.FailNode(p.node, p.repairAfter)
+		// A pass follows every failure instant, as it follows every timer,
+		// even a miss on a node already down (FailNode requests one only on
+		// a change): under a time-dependent policy the re-sort alone can
+		// start a new head.
+		e.requestSchedule()
 		e.q.Recycle(ev)
 	case evNodeUp:
 		e.handleNodeUp(p.nodes)

@@ -2,6 +2,8 @@ package sim_test
 
 import (
 	"bytes"
+	"fmt"
+	"strings"
 	"testing"
 
 	"hybridsched/internal/checkpoint"
@@ -9,12 +11,13 @@ import (
 	"hybridsched/internal/job"
 	"hybridsched/internal/registry"
 	"hybridsched/internal/sim"
+	"hybridsched/internal/snapshot"
 )
 
 // fuzzEngine builds the small fixed engine every fuzz iteration decodes into:
 // a core mechanism under the fault injector, replaying all three job classes
 // on 64 nodes, so LoadSnapshot exercises its full decode surface (job index,
-// mechanism state, timer payloads, RNG stream).
+// mechanism state, timer payloads, pending failures and repairs).
 func fuzzEngine(t testing.TB) *sim.Engine {
 	t.Helper()
 	jobs := []*job.Job{
@@ -77,4 +80,32 @@ func FuzzLoadSnapshot(f *testing.F) {
 		// report a runtime error — never panic.
 		_, _ = e.Run()
 	})
+}
+
+// TestLoadSnapshotRejectsVersionSkew re-frames a valid payload under the
+// previous format version: LoadSnapshot must refuse it by version, before
+// decoding a byte, and leave the engine able to finish its own run.
+func TestLoadSnapshotRejectsVersionSkew(t *testing.T) {
+	donor := fuzzEngine(t)
+	for i := 0; i < 40; i++ {
+		if _, err := donor.Step(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	valid, err := donor.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload, _, err := snapshot.Unframe(valid)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := fuzzEngine(t)
+	err = e.LoadSnapshot(snapshot.Frame(1, payload))
+	if want := fmt.Sprintf("snapshot version 1, this build reads %d", sim.EngineSnapshotVersion); err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("LoadSnapshot of a version-1 frame: %v, want %q", err, want)
+	}
+	if _, err := e.Run(); err != nil {
+		t.Fatalf("rejected load corrupted the engine: %v", err)
+	}
 }

@@ -404,18 +404,6 @@ func (e *Engine) ScheduleTimer(t int64, payload any) *eventq.Event {
 	return e.q.Push(t, eventq.PrioTimeout, evTimer{payload: payload})
 }
 
-// ScheduleFaultTimer delivers payload to Mechanism.OnTimer at time t at the
-// availability model's dispatch priority: after completions, before notices,
-// warning expiries, reservation timeouts, and arrivals. Fault injectors use
-// it so a failure fired from OnTimer orders exactly like one scheduled with
-// ScheduleNodeFailure at the same instant. Cancellable with CancelTimer.
-func (e *Engine) ScheduleFaultTimer(t int64, payload any) *eventq.Event {
-	if t < e.clk {
-		t = e.clk
-	}
-	return e.q.Push(t, eventq.PrioFault, evTimer{payload: payload})
-}
-
 // CancelTimer cancels a pending timer handle (nil-safe).
 func (e *Engine) CancelTimer(ev *eventq.Event) { e.q.Cancel(ev) }
 

@@ -15,7 +15,9 @@ import (
 
 // EngineSnapshotVersion is the format version of Engine.Snapshot frames.
 // Bump it on any layout change; LoadSnapshot rejects other versions.
-const EngineSnapshotVersion uint32 = 1
+// Version 2: fault-injected runs carry their pending failures as node-down
+// events and the injector no longer appends state of its own.
+const EngineSnapshotVersion uint32 = 2
 
 // SnapshotMechanism is the optional mechanism extension that makes a run
 // checkpointable. A mechanism implements it by serializing its private
@@ -23,8 +25,8 @@ const EngineSnapshotVersion uint32 = 1
 // number) and by encoding/decoding the opaque payloads of the timer events it
 // scheduled. Engine.Snapshot fails when the attached mechanism does not
 // implement it, so partially-captured state can never be written. Wrapping
-// mechanisms (the fault injector) implement it by chaining to the wrapped
-// mechanism.
+// mechanisms (the fault injector) implement it by handing every call to the
+// wrapped mechanism.
 type SnapshotMechanism interface {
 	Mechanism
 	// EncodeSnapshotState appends the mechanism's dynamic state. It must not
@@ -36,7 +38,7 @@ type SnapshotMechanism interface {
 	// restore completely or leave the mechanism unchanged.
 	DecodeSnapshotState(d *snapshot.Dec, rc *RestoreContext) error
 	// EncodeTimerPayload appends one timer payload previously passed to
-	// ScheduleTimer/ScheduleFaultTimer. Unknown payloads are an error.
+	// ScheduleTimer. Unknown payloads are an error.
 	EncodeTimerPayload(e *snapshot.Enc, payload any) error
 	// DecodeTimerPayload reads one payload written by EncodeTimerPayload.
 	DecodeTimerPayload(d *snapshot.Dec) (any, error)
@@ -445,9 +447,7 @@ func (e *Engine) LoadSnapshot(data []byte) error {
 	// Event queue.
 	seqCounter := d.U64()
 	var q eventq.Queue
-	if e.cfg.Reference {
-		q.UseHeap()
-	} else {
+	if !e.cfg.Reference {
 		q.EnablePooling()
 	}
 	if err := q.SetSeqCounter(seqCounter); err != nil {
@@ -633,9 +633,9 @@ func (e *Engine) LoadSnapshot(data []byte) error {
 	return nil
 }
 
-// TimerPending reports whether a timer handle returned by ScheduleTimer or
-// ScheduleFaultTimer is still scheduled. Fired and cancelled timers report
-// false; mechanisms use it to serialize only live handles.
+// TimerPending reports whether a timer handle returned by ScheduleTimer is
+// still scheduled. Fired and cancelled timers report false; mechanisms use it
+// to serialize only live handles.
 func (e *Engine) TimerPending(ev *eventq.Event) bool { return e.q.Contains(ev) }
 
 // eventOrderBefore reports dispatch order between two events (exposed via the

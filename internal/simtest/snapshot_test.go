@@ -154,7 +154,7 @@ func TestSnapshotRestoreEquivalence(t *testing.T) {
 // TestSnapshotRestoreEquivalenceFaults repeats the grid with the fault
 // injector (random failures, repair windows) and overlapping maintenance
 // drains enabled, so restores must also carry the down pool, drain windows in
-// every phase, pending repair events, and the injector's RNG position.
+// every phase, and pending failure and repair events.
 func TestSnapshotRestoreEquivalenceFaults(t *testing.T) {
 	for _, mech := range Mechanisms() {
 		for _, mix := range Mixes() {

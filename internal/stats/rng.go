@@ -12,19 +12,14 @@ import "math/rand"
 
 // RNG is a deterministic random source. It wraps math/rand.Rand so that the
 // rest of the code base never touches the global (non-reproducible) source.
-// The underlying source is this package's serializable reimplementation of
-// the stdlib generator (see source.go): streams are bit-identical to
-// rand.NewSource, but the position can be captured with State and restored
-// with SetState for engine snapshots.
 type RNG struct {
-	r   *rand.Rand
-	src *source
+	r *rand.Rand
 }
 
-// NewRNG returns a deterministic generator seeded with seed.
+// NewRNG returns a deterministic generator seeded with seed: the stream of
+// rand.NewSource(seed).
 func NewRNG(seed int64) *RNG {
-	src := newSource(seed)
-	return &RNG{r: rand.New(src), src: src}
+	return &RNG{r: rand.New(rand.NewSource(seed))}
 }
 
 // Derive returns a new independent generator whose seed combines the parent's

@@ -2,6 +2,7 @@ package stats
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -27,6 +28,49 @@ func TestRNGDifferentSeedsDiffer(t *testing.T) {
 	}
 	if same > 5 {
 		t.Fatalf("different seeds produced %d/100 identical draws", same)
+	}
+}
+
+// TestSourceMatchesMathRand pins NewRNG to rand.NewSource: every draw kind
+// must be bit-identical for the same seed, or all published experiment
+// outputs would silently shift.
+func TestSourceMatchesMathRand(t *testing.T) {
+	seeds := []int64{0, 1, -1, 42, 89482311, 1 << 40, -(1 << 40), 1<<31 - 1, 1 << 31}
+	for _, seed := range seeds {
+		want := rand.New(rand.NewSource(seed))
+		got := NewRNG(seed)
+		for i := 0; i < 2000; i++ {
+			switch i % 6 {
+			case 0:
+				if w, g := want.Int63(), got.Int63(); w != g {
+					t.Fatalf("seed %d draw %d: Int63 %d != %d", seed, i, g, w)
+				}
+			case 1:
+				if w, g := want.Float64(), got.Float64(); w != g {
+					t.Fatalf("seed %d draw %d: Float64 %v != %v", seed, i, g, w)
+				}
+			case 2:
+				if w, g := want.Intn(9973), got.Intn(9973); w != g {
+					t.Fatalf("seed %d draw %d: Intn %d != %d", seed, i, g, w)
+				}
+			case 3:
+				if w, g := want.NormFloat64(), got.NormFloat64(); w != g {
+					t.Fatalf("seed %d draw %d: NormFloat64 %v != %v", seed, i, g, w)
+				}
+			case 4:
+				if w, g := want.ExpFloat64(), got.ExpFloat64(1); w != g {
+					t.Fatalf("seed %d draw %d: ExpFloat64 %v != %v", seed, i, g, w)
+				}
+			case 5:
+				w := want.Perm(17)
+				g := got.Perm(17)
+				for k := range w {
+					if w[k] != g[k] {
+						t.Fatalf("seed %d draw %d: Perm mismatch at %d", seed, i, k)
+					}
+				}
+			}
+		}
 	}
 }
 

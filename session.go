@@ -314,7 +314,10 @@ type DrainSpec = runner.DrainSpec
 // WithFaults wraps the session's scheduler in the fault injector: node
 // failures strike uniformly random nodes on an exponential timeline, each
 // interrupting whatever job holds the node, and (with cfg.MeanRepair set)
-// removing the node from service for a drawn repair time. The observable
+// removing the node from service for a drawn repair time. The whole
+// timeline — instants, nodes, and repair times — is drawn when the session
+// is built and scheduled as engine failure events, so a Checkpoint carries
+// every pending failure, whatever cfg.RepairTime is. The observable
 // consequences stream as EventPreempt/EventNodeDown/EventNodeUp events, and
 // the run's Report carries FailuresInjected/FailureMisses/DownNodeSeconds.
 func WithFaults(cfg FaultConfig) Option {
