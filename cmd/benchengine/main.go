@@ -54,16 +54,13 @@ type measurement struct {
 	AllocsPerEvent float64 `json:"allocs_per_event"`
 }
 
-// scaleMeasurement is one point on the node-count scaling axis. Reference
-// rows (with -scale-ref) run the same cell on the retained naive engine
-// path — the heap event queue and full per-pass rescans — so the document
-// records the optimized-vs-naive curve, not just the optimized one.
+// scaleMeasurement is one point on the node-count scaling axis: one cell
+// run once at a system size and horizon.
 type scaleMeasurement struct {
 	Nodes        int     `json:"nodes"`
 	Weeks        int     `json:"weeks"`
 	Mechanism    string  `json:"mechanism"`
 	Mix          string  `json:"mix"`
-	Reference    bool    `json:"reference,omitempty"`
 	Jobs         int     `json:"jobs"`
 	Events       int     `json:"events"`
 	Seconds      float64 `json:"seconds"`
@@ -104,7 +101,6 @@ func main() {
 		grid       = flag.Bool("grid", true, "run the full mechanism x mix grid")
 		scale      = flag.String("scale", "", `node-count scaling axis: comma-separated sizes, or "default" for 1024,16384,131072`)
 		scaleWeeks = flag.String("scale-weeks", "1,4", "horizons (weeks) crossed with the -scale sizes")
-		scaleRef   = flag.Bool("scale-ref", false, "also measure each scale cell on the naive reference engine path")
 		stream     = flag.Int("stream", 0, "streamed-ingest run: this many jobs through a ReleaseCompleted engine (0 = off)")
 		baseline   = flag.String("baseline", "", "compare against this previously emitted document")
 		maxRegress = flag.Float64("max-regress", 0.25, "with -baseline: fail if any shared row's events/sec fell by more than this fraction")
@@ -180,22 +176,15 @@ func main() {
 					if err != nil {
 						fatal(err)
 					}
-					variants := []bool{false}
-					if *scaleRef {
-						variants = append(variants, true)
+					m, err := runOnce(sc, records)
+					if err != nil {
+						fatal(fmt.Errorf("scale %d/%dw %s: %w", n, w, mech, err))
 					}
-					for _, ref := range variants {
-						sc.Reference = ref
-						m, err := runOnce(sc, records)
-						if err != nil {
-							fatal(fmt.Errorf("scale %d/%dw %s: %w", n, w, mech, err))
-						}
-						doc.Scale = append(doc.Scale, scaleMeasurement{
-							Nodes: n, Weeks: w, Mechanism: mech, Mix: "W3", Reference: ref,
-							Jobs: len(records), Events: m.Events,
-							Seconds: m.Seconds, EventsPerSec: m.EventsPerSec,
-						})
-					}
+					doc.Scale = append(doc.Scale, scaleMeasurement{
+						Nodes: n, Weeks: w, Mechanism: mech, Mix: "W3",
+						Jobs: len(records), Events: m.Events,
+						Seconds: m.Seconds, EventsPerSec: m.EventsPerSec,
+					})
 				}
 			}
 		}
@@ -361,11 +350,7 @@ func compareBaseline(doc output, path string, maxRegress float64) error {
 
 // scaleKey identifies a scale row for baseline comparison.
 func scaleKey(m scaleMeasurement) string {
-	key := fmt.Sprintf("%d/%dw/%s/%s", m.Nodes, m.Weeks, m.Mechanism, m.Mix)
-	if m.Reference {
-		key += "/ref"
-	}
-	return key
+	return fmt.Sprintf("%d/%dw/%s/%s", m.Nodes, m.Weeks, m.Mechanism, m.Mix)
 }
 
 // parseInts splits a comma-separated integer list; the sentinel word (when

@@ -207,8 +207,10 @@ type SimulationConfig struct {
 	// (release the instant the estimated arrival passes). The Session
 	// option WithReleaseThreshold expresses zero directly.
 	ReleaseThresholdSeconds int64
-	// Validate checks the cluster partition invariant after every event
-	// (for tests; slows long runs down).
+	// Validate checks the cluster partition invariant after every event and
+	// every scheduler pass against a plan computed from scratch, failing the
+	// run on a mismatch (for tests; slows long runs down). The checks only
+	// read, so they change no output.
 	Validate bool
 }
 

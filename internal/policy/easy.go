@@ -136,8 +136,8 @@ func (p *Planner) PlanEASYSorted(now int64, q *Queue, running []Running, relVers
 	return p.starts
 }
 
-// PlanEASY is the allocation-per-call form of Planner.PlanEASY, retained for
-// one-shot callers and the engine's naive reference path.
+// PlanEASY is the allocation-per-call form of Planner.PlanEASY, for one-shot
+// callers such as the engine's per-pass check under sim.Config.Validate.
 func PlanEASY(now int64, queue []*job.Job, running []Running, free, backfillExtra int, ownReserve func(*job.Job) int, flexible bool) []Start {
 	var p Planner
 	return p.PlanEASY(now, queue, running, free, backfillExtra, ownReserve, flexible)

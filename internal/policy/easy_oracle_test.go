@@ -180,8 +180,8 @@ func genInstance(rng *rand.Rand) (queue []*job.Job, running []Running, free, bf 
 
 // queueOf builds a Queue under ord holding jobs, inserted in the given order
 // and then sorted at now (a no-op for an incremental queue).
-func queueOf(ord Ordering, odFirst, flexible, incremental bool, now int64, jobs []*job.Job) *Queue {
-	q := NewQueue(ord, odFirst, flexible, incremental)
+func queueOf(ord Ordering, odFirst, flexible bool, now int64, jobs []*job.Job) *Queue {
+	q := NewQueue(ord, odFirst, flexible)
 	for _, j := range jobs {
 		q.Insert(j, now)
 	}
@@ -214,7 +214,7 @@ func TestPlanEASYMatchesBruteForce(t *testing.T) {
 			}
 		}
 
-		inc := queueOf(ord, odFirst, flexible, true, now, jobs)
+		inc := queueOf(ord, odFirst, flexible, now, jobs)
 		queue := inc.Jobs()
 		want := refPlanEASY(now, queue, running, free, bf, ownReserve, flexible)
 		// Phase-1 starts are the leading starts that are a queue prefix.
@@ -234,8 +234,8 @@ func TestPlanEASYMatchesBruteForce(t *testing.T) {
 		sort.Slice(sortedRel, func(i, j int) bool { return relLess(sortedRel[i], sortedRel[j]) })
 		shuffled := append([]*job.Job(nil), jobs...)
 		rng.Shuffle(len(shuffled), func(i, k int) { shuffled[i], shuffled[k] = shuffled[k], shuffled[i] })
-		resorted := queueOf(ord, odFirst, flexible, false, now, shuffled)
-		for _, q := range []*Queue{inc, resorted} {
+		sortedPerPass := queueOf(resorted{ord}, odFirst, flexible, now, shuffled)
+		for _, q := range []*Queue{inc, sortedPerPass} {
 			var ps Planner
 			// Plan twice with the same version: the second call exercises
 			// the memoized shadow/extra path and must not change the answer.

@@ -90,7 +90,7 @@ func TestSortedPlannerMatchesUnsorted(t *testing.T) {
 	c1 := malleable(2, 1, 40, 5, 99999)
 	c2 := rigid(3, 2, 10, 200)
 	queue := []*job.Job{head, c1, c2}
-	q := queueOf(FCFS{}, false, true, true, 0, queue)
+	q := queueOf(FCFS{}, false, true, 0, queue)
 
 	var pa, pb Planner
 	for pass := 0; pass < 3; pass++ { // repeat: the second pass hits the memo

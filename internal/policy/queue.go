@@ -16,11 +16,12 @@ import (
 // indexed plan), kept up to date by every insertion and removal from then
 // on, and dropped by a re-sort or Load until its next use.
 //
-// An incremental queue keeps policy order as jobs come and go (binary-search
-// insertion and removal); it requires a time-invariant ordering that is
-// total on distinct jobs (all built-ins break ties by ID), since insertion
-// and the index merge rely on Less alone to place a job. Otherwise jobs
-// append, and Sort restores policy order at a given instant.
+// A queue is incremental exactly when its ordering is time-invariant: it
+// keeps policy order as jobs come and go (binary-search insertion and
+// removal), which requires an ordering that is total on distinct jobs (all
+// built-ins break ties by ID), since insertion and the index merge rely on
+// Less alone to place a job. Under a time-dependent ordering jobs append,
+// and Sort restores policy order at a given instant.
 type Queue struct {
 	ord         Ordering
 	odFirst     bool
@@ -41,15 +42,14 @@ type needGroup struct {
 
 // NewQueue returns an empty queue ordered by ord, with the on-demand-first
 // rule when onDemandFirst is set (see Less), grouping malleable jobs by their
-// minimum size when flexible is set. incremental keeps the order on every
-// insertion instead of on Sort; it is honored only for time-invariant
-// orderings.
-func NewQueue(ord Ordering, onDemandFirst, flexible, incremental bool) Queue {
+// minimum size when flexible is set. The queue is incremental when ord is
+// time-invariant.
+func NewQueue(ord Ordering, onDemandFirst, flexible bool) Queue {
 	return Queue{
 		ord:         ord,
 		odFirst:     onDemandFirst,
 		flexible:    flexible,
-		incremental: incremental && TimeInvariant(ord),
+		incremental: TimeInvariant(ord),
 	}
 }
 

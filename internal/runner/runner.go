@@ -91,7 +91,9 @@ type Spec struct {
 	CkptFreqMult float64 `json:"-"`
 	// BackfillReserved lets backfill jobs squat on reserved nodes (§III-B.1).
 	BackfillReserved bool `json:"-"`
-	// Validate checks the cluster partition invariant after every event.
+	// Validate checks the cluster partition invariant after every event and
+	// every scheduler pass against a plan computed from scratch (see
+	// sim.Config.Validate).
 	Validate bool `json:"-"`
 	// MaxSimTime aborts a run whose virtual clock passes this bound (0 = none).
 	MaxSimTime int64 `json:"-"`

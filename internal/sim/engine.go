@@ -35,17 +35,16 @@ type Config struct {
 	// pending on-demand jobs; such squatters are preempted the instant the
 	// on-demand job arrives (paper §III-B.1). Default off.
 	BackfillReserved bool
-	// Validate runs the cluster partition invariant after every event.
+	// Validate checks the cluster partition invariant after every event and,
+	// at every scheduler pass, holds the incremental scheduler state and the
+	// pass's plan to a from-scratch derivation (the waiting queue against the
+	// per-job flags, the release list against the running set, the starts
+	// against policy.PlanEASY); a mismatch fails the run. The checks only
+	// read, so a validated run is byte-identical to an unvalidated one.
 	// Meant for tests; expensive on long traces.
 	Validate bool
 	// MaxSimTime aborts the run if the clock passes this bound (0 = none).
 	MaxSimTime int64
-	// Reference drives the retained naive scheduling path — per-pass queue
-	// re-sorts, running-set reconstruction by map iteration + sort, fresh
-	// planner allocations, no event pooling — instead of the allocation-lean
-	// incremental structures. The two paths must produce byte-identical
-	// reports; internal/simtest holds them to that.
-	Reference bool
 	// Stopwatch measures decision latency for the metrics report (default
 	// simtime.Wall). Inject simtime.Frozen to zero out latency telemetry —
 	// the one engine output that legitimately varies between hosts.
@@ -242,9 +241,9 @@ type jobEntry struct {
 	endEv   *eventq.Event
 	warnEv  *eventq.Event
 
-	// Release-list membership (optimized path): the estimated-end key the
-	// job's entry was inserted under, so removal can binary-search instead of
-	// recomputing an estimate that may have moved on.
+	// Release-list membership: the estimated-end key the job's entry was
+	// inserted under, so removal can binary-search instead of recomputing an
+	// estimate that may have moved on.
 	relEnd int64
 	relOn  bool
 }
@@ -280,11 +279,11 @@ type Engine struct {
 	sparse map[int]*jobEntry
 
 	// queue is the waiting queue in policy order, with the need index the
-	// planner's backfill phase walks. On the optimized path a time-invariant
-	// policy keeps it in order incrementally (binary-search insertion); the
-	// built-in orderings are total, so the result is exactly what the per-pass
-	// stable sort used to produce. Time-dependent policies (WFP3, unknown
-	// registered ones) and the reference path re-sort every pass.
+	// planner's backfill phase walks. A time-invariant policy keeps it in
+	// order incrementally (binary-search insertion); the built-in orderings
+	// are total, so the result is exactly what a per-pass stable sort would
+	// produce. Time-dependent policies (WFP3, unknown registered ones)
+	// re-sort every pass.
 	queue policy.Queue
 
 	// running lists every job holding nodes (Running or Warning), in
@@ -292,13 +291,13 @@ type Engine struct {
 	running []*job.Job
 
 	// rel is the (EstEnd, ID)-ordered release list the backfill planner
-	// reads, maintained incrementally on the optimized path: jobs enter at
-	// start, leave at completion/preemption, and move when a resize or
-	// warning changes their estimated release. Estimate-based ends are
-	// invariant between those transitions (see job.MalleableEstimatedEndAsOf),
-	// so the list never goes stale in between. relVer bumps on every mutation
-	// and keys the planner's shadow/extra memoization.
-	//schedlint:snapfield rebuilt from the restored running set; see restoreReleaseList
+	// reads, maintained incrementally: jobs enter at start, leave at
+	// completion/preemption, and move when a resize or warning changes their
+	// estimated release. Estimate-based ends are invariant between those
+	// transitions (see job.MalleableEstimatedEndAsOf), so the list never goes
+	// stale in between. relVer bumps on every mutation and keys the planner's
+	// shadow/extra memoization.
+	//schedlint:snapfield rebuilt from the restored running set; see releaseList
 	rel []policy.Running
 	//schedlint:snapfield memoization version counter; any fresh value is correct after restore
 	relVer uint64
@@ -343,13 +342,11 @@ func New(cfg Config, jobs []*job.Job, mech Mechanism) (*Engine, error) {
 		squatted:     make(map[int]int),
 	}
 	e.sw = cfg.Stopwatch
-	e.queue = policy.NewQueue(cfg.Policy, mech.QueueOnDemandFirst(), mech.FlexibleMalleable(), !cfg.Reference)
+	e.queue = policy.NewQueue(cfg.Policy, mech.QueueOnDemandFirst(), mech.FlexibleMalleable())
 	if cfg.ReleaseCompleted {
 		e.met.EnableStreaming()
 	}
-	if !cfg.Reference {
-		e.q.EnablePooling()
-	}
+	e.q.EnablePooling()
 	for _, j := range jobs {
 		if j.Size > cfg.Nodes {
 			return nil, fmt.Errorf("sim: job %d size %d exceeds system %d", j.ID, j.Size, cfg.Nodes)
@@ -408,8 +405,8 @@ func (e *Engine) mustEnt(j *job.Job) *jobEntry {
 	return ent
 }
 
-// addRunning inserts j into the ID-ordered running list and, on the optimized
-// path, into the planner's release list.
+// addRunning inserts j into the ID-ordered running list and into the
+// planner's release list.
 func (e *Engine) addRunning(j *job.Job) {
 	i := sort.Search(len(e.running), func(k int) bool { return e.running[k].ID >= j.ID })
 	e.running = append(e.running, nil)
@@ -431,12 +428,8 @@ func (e *Engine) removeRunning(id int) {
 }
 
 // relAdd inserts j's planning view into the (EstEnd, ID)-ordered release
-// list. The reference path skips maintenance entirely — it reconstructs the
-// view from scratch every pass.
+// list.
 func (e *Engine) relAdd(j *job.Job) {
-	if e.cfg.Reference {
-		return
-	}
 	r, ok := e.runningInfo(j)
 	if !ok {
 		return
@@ -454,9 +447,6 @@ func (e *Engine) relAdd(j *job.Job) {
 // relDel removes job id from the release list, locating it by the key it was
 // inserted under.
 func (e *Engine) relDel(id int) {
-	if e.cfg.Reference {
-		return
-	}
 	ent := e.lookup(id)
 	if ent == nil || !ent.relOn {
 		return
@@ -474,9 +464,6 @@ func (e *Engine) relDel(id int) {
 // relRefresh re-keys a node-holding job whose estimated release moved — a
 // malleable resize or the start of a preemption warning.
 func (e *Engine) relRefresh(j *job.Job) {
-	if e.cfg.Reference {
-		return
-	}
 	e.relDel(j.ID)
 	e.relAdd(j)
 }

@@ -109,3 +109,42 @@ func TestLoadSnapshotRejectsVersionSkew(t *testing.T) {
 		t.Fatalf("rejected load corrupted the engine: %v", err)
 	}
 }
+
+// TestLoadSnapshotRefusesReferenceFlag sets the byte version-2 frames keep
+// for the retired reference engine path: this build writes it false and
+// must refuse a frame that says otherwise.
+func TestLoadSnapshotRefusesReferenceFlag(t *testing.T) {
+	donor := fuzzEngine(t)
+	for i := 0; i < 40; i++ {
+		if _, err := donor.Step(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	valid, err := donor.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload, _, err := snapshot.Unframe(valid)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The configuration echo ahead of the flag: nodes, policy,
+	// BackfillReserved, MaxSimTime.
+	var echo snapshot.Enc
+	echo.Int(64)
+	echo.String("fcfs")
+	echo.Bool(false)
+	echo.I64(0)
+	off := len(echo.Bytes())
+	if !bytes.HasPrefix(payload, echo.Bytes()) || payload[off] != 0 {
+		t.Fatalf("frame does not start with the expected configuration echo and a false flag")
+	}
+	payload[off] = 1
+	e := fuzzEngine(t)
+	if err := e.LoadSnapshot(snapshot.Frame(sim.EngineSnapshotVersion, payload)); err == nil || !strings.Contains(err.Error(), "reference") {
+		t.Fatalf("LoadSnapshot of a frame with the reference flag set: %v", err)
+	}
+	if _, err := e.Run(); err != nil {
+		t.Fatalf("rejected load corrupted the engine: %v", err)
+	}
+}

@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"fmt"
+	"slices"
 	"sort"
 
 	"hybridsched/internal/eventq"
@@ -10,31 +12,32 @@ import (
 )
 
 // schedulePass runs the queue policy and EASY backfilling over the current
-// state and starts every planned job. The optimized path reads the
-// incrementally-sorted queue and running list through reusable scratch
-// buffers; the reference path re-derives both the naive way and must plan
-// exactly the same starts (internal/simtest holds the two to byte-identical
-// reports).
+// state and starts every planned job. Under Config.Validate, checkPass holds
+// the plan and the structures it read to a from-scratch derivation first.
 func (e *Engine) schedulePass() {
 	if len(e.drains) > 0 {
 		// Open maintenance windows absorb newly freed capacity before the
-		// planner sees it, on both engine paths identically.
+		// planner sees it.
 		e.drainAbsorb()
 	}
-	if e.queue.Len() == 0 {
-		return
-	}
-	if e.cfg.Reference {
-		e.queue.Sort(e.clk)
-		ri := e.referenceRunningInfo()
-		own := func(j *job.Job) int { return e.cl.ReservedCount(j.ID) }
-		starts := policy.PlanEASY(e.clk, e.queue.Jobs(), ri, e.cl.FreeCount(), e.backfillExtraCount(), own, e.mech.FlexibleMalleable())
-		for _, s := range starts {
-			e.startJob(s.J, s.Size, true)
+	starts := e.plan()
+	if e.cfg.Validate {
+		if err := e.checkPass(starts); err != nil {
+			e.fail("sim: scheduler pass at t=%d: %v", e.clk, err)
+			return
 		}
-		return
 	}
+	for _, s := range starts {
+		e.startJob(s.J, s.Size, true)
+	}
+}
 
+// plan returns the starts of one scheduler pass from the incrementally
+// maintained queue and release list.
+func (e *Engine) plan() []policy.Start {
+	if e.queue.Len() == 0 {
+		return nil
+	}
 	free := e.cl.FreeCount()
 	reserved := e.cl.TotalReserved()
 	// Nothing in the queue can start when even the smallest start need
@@ -46,17 +49,74 @@ func (e *Engine) schedulePass() {
 	// incremental queue, since time-dependent policies re-sort (an observable
 	// reordering) on every pass.
 	if e.queue.Incremental() && e.queue.MinNeed() > free+2*reserved {
-		return
+		return nil
 	}
 	e.queue.Sort(e.clk)
 	var own func(j *job.Job) int
 	if reserved > 0 {
 		own = func(j *job.Job) int { return e.cl.ReservedCount(j.ID) }
 	}
-	starts := e.planner.PlanEASYSorted(e.clk, &e.queue, e.rel, e.relVer, free, e.backfillExtraCount(), reserved, own)
-	for _, s := range starts {
-		e.startJob(s.J, s.Size, true)
+	return e.planner.PlanEASYSorted(e.clk, &e.queue, e.rel, e.relVer, free, e.backfillExtraCount(), reserved, own)
+}
+
+// checkPass is the Config.Validate oracle for one scheduler pass, run before
+// any of its starts: the waiting queue must hold exactly the jobs flagged
+// queued, in an order the queue admits; the release list must equal one
+// rebuilt from the running set; and starts (none for a skipped pass) must be
+// what policy.PlanEASY plans over the queue and the rebuilt release list. It
+// changes nothing, so a validated run stays byte-identical.
+func (e *Engine) checkPass(starts []policy.Start) error {
+	queue := e.queue.Jobs()
+	if !e.queue.Admits(queue, e.clk) {
+		return fmt.Errorf("queue %v repeats a job or breaks policy order", jobIDs(queue))
 	}
+	for _, j := range queue {
+		if ent := e.lookup(j.ID); ent == nil || !ent.inQueue {
+			return fmt.Errorf("queue holds job %d, which is not flagged queued", j.ID)
+		}
+	}
+	flagged := 0
+	for i := range e.dense {
+		if e.dense[i].inQueue {
+			flagged++
+		}
+	}
+	for _, ent := range e.sparse {
+		if ent.inQueue {
+			flagged++
+		}
+	}
+	if flagged != len(queue) {
+		return fmt.Errorf("queue holds %d jobs, %d are flagged queued", len(queue), flagged)
+	}
+	rel := e.releaseList()
+	if !slices.Equal(e.rel, rel) {
+		return fmt.Errorf("release list %v, rebuilt from the running set %v", e.rel, rel)
+	}
+	own := func(j *job.Job) int { return e.cl.ReservedCount(j.ID) }
+	want := policy.PlanEASY(e.clk, queue, rel, e.cl.FreeCount(), e.backfillExtraCount(), own, e.mech.FlexibleMalleable())
+	if !slices.Equal(starts, want) {
+		return fmt.Errorf("starts %v, PlanEASY plans %v", startList(starts), startList(want))
+	}
+	return nil
+}
+
+// jobIDs lists the IDs of jobs, in order.
+func jobIDs(jobs []*job.Job) []int {
+	ids := make([]int, len(jobs))
+	for i, j := range jobs {
+		ids[i] = j.ID
+	}
+	return ids
+}
+
+// startList renders starts as "job:size" pairs, for diagnostics.
+func startList(starts []policy.Start) []string {
+	out := make([]string, len(starts))
+	for i, s := range starts {
+		out[i] = fmt.Sprintf("%d:%d", s.J.ID, s.Size)
+	}
+	return out
 }
 
 // backfillExtraCount sums the reserved nodes of claims currently marked
@@ -74,29 +134,11 @@ func (e *Engine) backfillExtraCount() int {
 	return bf
 }
 
-// runningInfo derives the backfill-planning view of one node-holding job.
+// runningInfo derives the backfill-planning view of one node-holding job
+// without changing it: a malleable job's estimate-based end is read as of its
+// last progress update, which is invariant in the evaluation time while the
+// job runs at one size (see job.MalleableEstimatedEndAsOf).
 func (e *Engine) runningInfo(j *job.Job) (policy.Running, bool) {
-	switch j.State {
-	case job.Running:
-		if j.Class == job.Malleable {
-			j.UpdateProgress(e.clk)
-			return policy.Running{EstEnd: j.MalleableEstimatedEnd(e.clk), Nodes: j.CurSize, ID: j.ID}, true
-		}
-		return policy.Running{EstEnd: j.EstimatedEnd(), Nodes: j.CurSize, ID: j.ID}, true
-	case job.Warning:
-		if ev := e.mustEnt(j).warnEv; ev != nil {
-			return policy.Running{EstEnd: ev.Time, Nodes: j.CurSize, ID: j.ID}, true
-		}
-	}
-	return policy.Running{}, false
-}
-
-// restoredRunningInfo is runningInfo without the malleable progress
-// materialization, for rebuilding the release list from a snapshot: advancing
-// a restored job's accounting there would make later snapshot bytes diverge
-// from an uninterrupted run's. The estimate-based end is invariant in the
-// evaluation time, so the key matches what live maintenance inserted.
-func (e *Engine) restoredRunningInfo(j *job.Job) (policy.Running, bool) {
 	switch j.State {
 	case job.Running:
 		if j.Class == job.Malleable {
@@ -111,30 +153,18 @@ func (e *Engine) restoredRunningInfo(j *job.Job) (policy.Running, bool) {
 	return policy.Running{}, false
 }
 
-// referenceRunningInfo is the retained naive path: reconstruct the running
-// set by scanning the entry tables (the moral equivalent of the old
-// map-iteration), sort the IDs, and allocate a fresh view — exactly the
-// shape the incremental running list replaced.
-func (e *Engine) referenceRunningInfo() []policy.Running {
-	ids := make([]int, 0, len(e.running))
-	for i := range e.dense {
-		if e.dense[i].j != nil && e.dense[i].running {
-			ids = append(ids, e.dense[i].j.ID)
+// releaseList builds the release list from scratch: the planning view of
+// every job in the running set, in (EstEnd, ID) order. Snapshot restore
+// rebuilds the list with it, and checkPass compares against it.
+func (e *Engine) releaseList() []policy.Running {
+	var rel []policy.Running
+	for _, j := range e.running {
+		if r, ok := e.runningInfo(j); ok {
+			rel = append(rel, r)
 		}
 	}
-	for id, ent := range e.sparse {
-		if ent.running {
-			ids = append(ids, id)
-		}
-	}
-	sort.Ints(ids)
-	ri := make([]policy.Running, 0, len(ids))
-	for _, id := range ids {
-		if r, ok := e.runningInfo(e.lookup(id).j); ok {
-			ri = append(ri, r)
-		}
-	}
-	return ri
+	sort.Slice(rel, func(i, k int) bool { return policy.RelLess(rel[i], rel[k]) })
+	return rel
 }
 
 // startJob launches j on size nodes, drawing first from the job's own

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"strings"
 	"testing"
 
 	"hybridsched/internal/job"
@@ -306,5 +307,36 @@ func (m *timerMech) OnJobCompleted(j *job.Job, _ *nodeset.Set) {
 func (m *timerMech) OnTimer(p any) {
 	if p == "ping" {
 		m.fired = true
+	}
+}
+
+// TestValidateCatchesStaleSchedulerState corrupts each structure checkPass
+// rebuilds from scratch and requires the next scheduler pass to fail the
+// run, naming its time: an oracle that cannot fail proves nothing.
+func TestValidateCatchesStaleSchedulerState(t *testing.T) {
+	for _, tc := range []struct {
+		name, want string
+		corrupt    func(e *Engine, b, c *job.Job)
+	}{
+		{"release list", "release list", func(e *Engine, _, _ *job.Job) { e.rel = nil }},
+		{"queued flag", "job 2, which is not flagged queued", func(e *Engine, b, _ *job.Job) { e.mustEnt(b).inQueue = false }},
+		{"queue order", "breaks policy order", func(e *Engine, b, c *job.Job) { e.queue.Load([]*job.Job{c, b}) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			// a runs on 80 of 100 nodes; b and c wait behind it; d's arrival
+			// at t=500 triggers the pass that must fail.
+			a, b, c, d := rigid(1, 0, 80, 1000), rigid(2, 0, 50, 100), rigid(3, 0, 60, 100), rigid(4, 500, 10, 100)
+			e := attach(t, Config{Nodes: 100, Validate: true}, []*job.Job{a, b, c, d}, Baseline{})
+			for !e.IsRunningOrWarning(a.ID) || e.QueueDepth() != 2 {
+				if _, err := e.Step(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			tc.corrupt(e, b, c)
+			_, err := e.Run()
+			if err == nil || !strings.Contains(err.Error(), "scheduler pass at t=500") || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("run error %v, want the pass at t=500 to report %q", err, tc.want)
+			}
+		})
 	}
 }

@@ -2,7 +2,6 @@ package sim
 
 import (
 	"fmt"
-	"sort"
 
 	"hybridsched/internal/cluster"
 	"hybridsched/internal/eventq"
@@ -107,7 +106,7 @@ func (e *Engine) Snapshot() ([]byte, error) {
 	enc.String(e.cfg.Policy.Name())
 	enc.Bool(e.cfg.BackfillReserved)
 	enc.I64(e.cfg.MaxSimTime)
-	enc.Bool(e.cfg.Reference)
+	enc.Bool(false) // the retired reference-path flag, kept so version-2 frames still load
 	enc.String(e.mech.Name())
 
 	// Scalar run state.
@@ -124,16 +123,8 @@ func (e *Engine) Snapshot() ([]byte, error) {
 	}
 
 	// Waiting queue and running set, by job ID, order preserved verbatim.
-	ids := make([]int, e.queue.Len())
-	for i, j := range e.queue.Jobs() {
-		ids[i] = j.ID
-	}
-	enc.Ints(ids)
-	ids = make([]int, len(e.running))
-	for i, j := range e.running {
-		ids[i] = j.ID
-	}
-	enc.Ints(ids)
+	enc.Ints(jobIDs(e.queue.Jobs()))
+	enc.Ints(jobIDs(e.running))
 
 	e.cl.EncodeSnapshot(&enc)
 	e.met.EncodeSnapshot(&enc)
@@ -308,8 +299,8 @@ func (e *Engine) LoadSnapshot(data []byte) error {
 	if maxSimTime != e.cfg.MaxSimTime {
 		return fmt.Errorf("sim: snapshot MaxSimTime=%d, engine has %d", maxSimTime, e.cfg.MaxSimTime)
 	}
-	if reference != e.cfg.Reference {
-		return fmt.Errorf("sim: snapshot Reference=%v, engine has %v", reference, e.cfg.Reference)
+	if reference {
+		return fmt.Errorf("sim: snapshot from the retired reference engine path")
 	}
 	if mechName != e.mech.Name() {
 		return fmt.Errorf("sim: snapshot for mechanism %q, engine has %q", mechName, e.mech.Name())
@@ -447,9 +438,7 @@ func (e *Engine) LoadSnapshot(data []byte) error {
 	// Event queue.
 	seqCounter := d.U64()
 	var q eventq.Queue
-	if !e.cfg.Reference {
-		q.EnablePooling()
-	}
+	q.EnablePooling()
 	if err := q.SetSeqCounter(seqCounter); err != nil {
 		return d.Fail(err)
 	}
@@ -610,22 +599,15 @@ func (e *Engine) LoadSnapshot(data []byte) error {
 	e.squats = squats
 	e.squatted = squatted
 	e.q = q
-	// Rebuild the optimized path's incremental scheduler state: the release
-	// list (the running set is ascending-ID, so appending and sorting by
+	// Rebuild the incremental scheduler state: the release list (sorting by
 	// (EstEnd, ID) reproduces exactly what live maintenance held) and a fresh
 	// planner with no memoized shadow. Load above dropped the queue's need
 	// index; the next pass rebuilds it.
-	e.rel = e.rel[:0]
-	if !e.cfg.Reference {
-		for _, j := range running {
-			if r, ok := e.restoredRunningInfo(j); ok {
-				ent := e.mustEnt(j)
-				ent.relEnd = r.EstEnd
-				ent.relOn = true
-				e.rel = append(e.rel, r)
-			}
-		}
-		sort.Slice(e.rel, func(i, k int) bool { return policy.RelLess(e.rel[i], e.rel[k]) })
+	e.rel = e.releaseList()
+	for _, r := range e.rel {
+		ent := e.lookup(r.ID)
+		ent.relEnd = r.EstEnd
+		ent.relOn = true
 	}
 	e.relVer++
 	e.planner = policy.Planner{}

@@ -15,80 +15,45 @@ func faultScale(mech, mix string) Scenario {
 	return sc
 }
 
-// TestFaultDifferentialReports pins the optimized engine against the naive
-// reference path with the fault injector enabled: failures, repair windows,
-// and the drain-free capacity accounting must not diverge between the two
-// scheduling paths. (The clean-run differential lives in
-// TestDifferentialReports; this is the degraded-capacity counterpart.)
+// TestFaultDifferentialReports runs fault-enabled cells under the per-pass
+// oracle: failures, repair windows, and the drain-free capacity accounting
+// must keep every scheduler pass equal to the plan from scratch. (The clean
+// grid runs in TestRunInvariants; this is the degraded-capacity
+// counterpart.)
 func TestFaultDifferentialReports(t *testing.T) {
 	for _, mech := range Mechanisms() {
 		for _, mix := range []string{"W2", "W5"} {
 			sc := faultScale(mech, mix)
 			t.Run(mech+"/"+mix, func(t *testing.T) {
 				t.Parallel()
-				opt, ref, err := Differential(sc)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !bytes.Equal(opt, ref) {
-					t.Fatalf("optimized and reference reports diverge under faults\noptimized: %s\nreference: %s",
-						truncate(opt), truncate(ref))
-				}
+				checkedRun(t, sc)
 			})
 		}
 	}
 }
 
 // TestInstantRepairDifferential covers the legacy instant-repair shortcut
-// (MeanRepair zero) on both engine paths.
+// (MeanRepair zero) under the per-pass oracle.
 func TestInstantRepairDifferential(t *testing.T) {
 	for _, mech := range []string{"baseline", "CUA&SPAA"} {
 		sc := faultScale(mech, "W5")
 		sc.FaultRepair = 0
 		t.Run(mech, func(t *testing.T) {
 			t.Parallel()
-			opt, ref, err := Differential(sc)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(opt, ref) {
-				t.Fatalf("instant-repair reports diverge\noptimized: %s\nreference: %s",
-					truncate(opt), truncate(ref))
-			}
+			checkedRun(t, sc)
 		})
 	}
 }
 
-// TestFaultRunInvariants drives every mechanism with the injector enabled,
-// the cluster partition check after each event, and the extended
-// InvariantChecker: conservation against the time-varying in-service
-// capacity and no allocation onto down nodes.
+// TestFaultRunInvariants drives every mechanism with the injector enabled
+// under Validate and the extended InvariantChecker: conservation against
+// the time-varying in-service capacity and no allocation onto down nodes.
 func TestFaultRunInvariants(t *testing.T) {
 	for _, mech := range Mechanisms() {
 		sc := faultScale(mech, "W5")
-		sc.Validate = true
 		t.Run(mech, func(t *testing.T) {
 			t.Parallel()
-			records, err := sc.Records()
-			if err != nil {
-				t.Fatal(err)
-			}
-			e, err := NewEngine(sc, records)
-			if err != nil {
-				t.Fatal(err)
-			}
-			chk := NewInvariantChecker(sc.Nodes)
-			e.SetEventSink(chk.Sink())
-			rep, err := e.Run()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := chk.Err(); err != nil {
-				t.Fatal(err)
-			}
-			if chk.HeldTotal() != 0 {
-				t.Fatalf("%d nodes still held after every job completed", chk.HeldTotal())
-			}
+			rep := checkedRun(t, sc)
 			if rep.FailuresInjected == 0 {
 				t.Fatal("no failures struck at a 6 h MTBF over a week")
 			}

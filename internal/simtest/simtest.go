@@ -1,15 +1,18 @@
 // Package simtest is the simulation property-test harness: it builds
 // engine scenarios over the full mechanism × workload grid of the paper's
-// evaluation, runs a differential checker that pins the optimized engine
-// against the retained naive reference path (byte-identical reports), and
-// asserts structural invariants — no node double-allocation, conservation of
-// nodes across loans and returns, monotone virtual time — over the typed
-// event stream of a run.
+// evaluation and checks runs of them. Its suites run engines under
+// sim.Config.Validate, which holds every scheduler pass of the incremental
+// engine to a plan computed from scratch, and assert structural invariants —
+// no node double-allocation, conservation of nodes across loans and returns,
+// monotone virtual time — over the typed event stream of a run. Further
+// suites pin replay determinism, byte-identical snapshot/restore, and that
+// validation itself changes no output.
 //
 // The harness exists so hot-path refactors of internal/sim stay safe: any
-// divergence between the allocation-lean structures and the straightforward
-// map-and-re-sort semantics they replaced shows up as a report mismatch or an
-// invariant violation, not as a silently different experiment result.
+// divergence between the allocation-lean structures and the plan they must
+// produce fails the run at the pass where it happens, and a changed outcome
+// shows up as a report mismatch or an invariant violation, not as a silently
+// different experiment result.
 package simtest
 
 import (
@@ -44,8 +47,7 @@ type Scenario struct {
 	Seed      int64
 	Nodes     int // system size; also scales the generated workload
 	Weeks     int
-	Validate  bool // check the cluster partition invariant after every event
-	Reference bool // drive the retained naive reference path of the engine
+	Validate  bool // check the cluster partition and every scheduler pass (see sim.Config.Validate)
 
 	// Policy names the waiting-queue ordering ("" = fcfs; see
 	// registry.PolicyByName). sjf and ljf keep the queue sorted
@@ -59,8 +61,8 @@ type Scenario struct {
 
 	// BackfillReserved lets backfill candidates squat on nodes reserved for
 	// pending on-demand jobs (paper §III-B.1). It routes the planner through
-	// the reserved-headroom accounting, so differential cells with it on pin
-	// the shared-reserve charge model against the reference path.
+	// the reserved-headroom accounting, so validated cells with it on pin the
+	// shared-reserve charge model against the from-scratch plan.
 	BackfillReserved bool
 
 	// FaultMTBF, when positive, wraps the mechanism in the fault injector at
@@ -89,6 +91,12 @@ func (sc Scenario) Records() ([]trace.Record, error) {
 // checkpointing at 24 h MTBF). With FaultMTBF set the mechanism is wrapped
 // in the fault injector, so the availability model is exercised end to end.
 func NewEngine(sc Scenario, records []trace.Record) (*sim.Engine, error) {
+	return newEngine(sc, records, nil)
+}
+
+// newEngine is NewEngine with the engine's decision-latency stopwatch (nil:
+// the wall clock).
+func newEngine(sc Scenario, records []trace.Record, sw simtime.Stopwatch) (*sim.Engine, error) {
 	jobs := trace.Materialize(records, func(size int) checkpoint.Plan {
 		return checkpoint.NewPlan(size, 24*3600, 1)
 	})
@@ -115,9 +123,9 @@ func NewEngine(sc Scenario, records []trace.Record) (*sim.Engine, error) {
 		Nodes:            sc.Nodes,
 		Policy:           ord,
 		Validate:         sc.Validate,
-		Reference:        sc.Reference,
 		BackfillReserved: sc.BackfillReserved,
 		ReleaseCompleted: sc.ReleaseCompleted,
+		Stopwatch:        sw,
 	}, jobs, mech)
 }
 
@@ -167,30 +175,12 @@ func ReportJSON(r metrics.Report) ([]byte, error) {
 }
 
 // CanonicalRun runs the scenario to completion and returns the canonical
-// report encoding — the byte string every equivalence suite (differential,
-// replay, snapshot/restore) compares against.
+// report encoding — the byte string every equivalence suite (replay,
+// snapshot/restore, validated against unvalidated) compares against.
 func CanonicalRun(sc Scenario) ([]byte, error) {
 	rep, err := Run(sc)
 	if err != nil {
 		return nil, fmt.Errorf("simtest: %s/%s: %w", sc.Mechanism, sc.Mix, err)
 	}
 	return ReportJSON(rep)
-}
-
-// Differential runs the scenario twice — once on the optimized engine path
-// and once on the retained naive reference path — and returns both canonical
-// report encodings. The two must be byte-identical; the differential tests
-// hold every mechanism × mix cell to that.
-func Differential(sc Scenario) (optimized, reference []byte, err error) {
-	sc.Reference = false
-	optimized, err = CanonicalRun(sc)
-	if err != nil {
-		return nil, nil, fmt.Errorf("simtest: optimized path: %w", err)
-	}
-	sc.Reference = true
-	reference, err = CanonicalRun(sc)
-	if err != nil {
-		return nil, nil, fmt.Errorf("simtest: reference path: %w", err)
-	}
-	return optimized, reference, nil
 }

@@ -2,6 +2,9 @@ package simtest
 
 import (
 	"bytes"
+	"compress/gzip"
+	"io"
+	"os"
 	"testing"
 
 	"hybridsched/internal/sim"
@@ -83,9 +86,12 @@ func finish(t *testing.T, e *sim.Engine) []byte {
 //
 // The restored engines are built the ordinary way (arrival events, fault
 // timelines, and drain schedules already pushed), so the check also proves
-// LoadSnapshot fully replaces that pre-seeded state.
+// LoadSnapshot fully replaces that pre-seeded state. Every engine runs under
+// Validate, so a restore that rebuilds the incremental scheduler state wrong
+// fails at the first scheduler pass after it.
 func checkRestoreEquivalence(t *testing.T, sc Scenario, drains bool) {
 	t.Helper()
+	sc.Validate = true
 
 	ref := buildEngine(t, sc, drains)
 	total := 0
@@ -164,5 +170,45 @@ func TestSnapshotRestoreEquivalenceFaults(t *testing.T) {
 				checkRestoreEquivalence(t, sc, true)
 			})
 		}
+	}
+}
+
+// TestSnapshotFrameFromEarlierBuild resumes a version-2 frame that an
+// earlier build of the engine wrote (testdata, gzipped), so the frame layout
+// cannot change without a version bump unnoticed: no other test reads a
+// frame this build did not write. The cell carries mechanism state, faults,
+// an open drain window, a non-FCFS policy and BackfillReserved; the frame
+// was taken at step 224 of a run with the frozen stopwatch, with two
+// malleable jobs running (one shrunk) and eleven queued. Restored under
+// Validate, the run must finish with the uninterrupted run's canonical
+// report.
+func TestSnapshotFrameFromEarlierBuild(t *testing.T) {
+	sc := faultScale("CUA&SPAA", "W5")
+	sc.Nodes, sc.Policy, sc.BackfillReserved = 256, "sjf", true
+	f, err := os.Open("testdata/engine_v2_sjf_cuaspaa_w5.frame.gz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	zr, err := gzip.NewReader(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	frame, err := io.ReadAll(zr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := finish(t, buildEngine(t, sc, true))
+
+	sc.Validate = true
+	restored := buildEngine(t, sc, true)
+	if err := restored.LoadSnapshot(frame); err != nil {
+		t.Fatal(err)
+	}
+	if len(restored.RunningAll()) == 0 || restored.QueueDepth() == 0 {
+		t.Fatalf("frame holds %d running and %d queued jobs; want a mid-run frame", len(restored.RunningAll()), restored.QueueDepth())
+	}
+	if got := finish(t, restored); !bytes.Equal(got, want) {
+		t.Fatalf("resumed run diverges\ngot:  %s\nwant: %s", truncate(got), truncate(want))
 	}
 }

@@ -245,8 +245,10 @@ func WithDirectedReturn(on bool) Option {
 	return func(c *sessionConfig) { c.sim.NoDirectedReturn = !on }
 }
 
-// WithValidate checks the cluster partition invariant after every event
-// (for tests; slows long runs down).
+// WithValidate checks the cluster partition invariant after every event and
+// every scheduler pass against a plan computed from scratch, failing the run
+// on a mismatch (for tests; slows long runs down). The checks only read, so
+// they change no output.
 func WithValidate(on bool) Option {
 	return func(c *sessionConfig) { c.sim.Validate = on }
 }
