@@ -18,19 +18,30 @@
 // peak live heap alongside throughput (the engine holds only in-flight jobs,
 // so peak heap must not grow with N). -baseline FILE compares every row
 // against a previously emitted document and exits 1 if any shared row's
-// events/sec fell by more than -max-regress.
+// events/sec fell by more than -max-regress. -cpuprofile FILE profiles the
+// grid and scale runs, in which only the timed event loops carry the pprof
+// label run=timed, so
 //
-// Trace generation and engine construction are excluded from the timed
-// region; allocations are the runtime's malloc count over the run itself.
+//	go tool pprof -tagfocus run=timed FILE
+//
+// shows the timed runs alone, without trace generation or engine
+// construction.
+//
+// Every grid and scale row is the best of -iters runs: the highest
+// events/sec, with the fewest allocations seen kept beside it. Trace
+// generation and engine construction are excluded from the timed region;
+// allocations are the runtime's malloc count over the run itself.
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
 	"os"
 	"runtime"
+	"runtime/pprof"
 	"strconv"
 	"strings"
 	"time"
@@ -55,16 +66,11 @@ type measurement struct {
 }
 
 // scaleMeasurement is one point on the node-count scaling axis: one cell
-// run once at a system size and horizon.
+// at a system size and horizon, measured like a grid row.
 type scaleMeasurement struct {
-	Nodes        int     `json:"nodes"`
-	Weeks        int     `json:"weeks"`
-	Mechanism    string  `json:"mechanism"`
-	Mix          string  `json:"mix"`
-	Jobs         int     `json:"jobs"`
-	Events       int     `json:"events"`
-	Seconds      float64 `json:"seconds"`
-	EventsPerSec float64 `json:"events_per_sec"`
+	Nodes int `json:"nodes"`
+	Weeks int `json:"weeks"`
+	measurement
 }
 
 // streamMeasurement is the streamed-ingest run: jobs submitted through the
@@ -104,16 +110,31 @@ func main() {
 		stream     = flag.Int("stream", 0, "streamed-ingest run: this many jobs through a ReleaseCompleted engine (0 = off)")
 		baseline   = flag.String("baseline", "", "compare against this previously emitted document")
 		maxRegress = flag.Float64("max-regress", 0.25, "with -baseline: fail if any shared row's events/sec fell by more than this fraction")
+		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile of the grid and scale runs to this file; their timed event loops carry the label run=timed")
 	)
 	flag.Parse()
 
+	stopProfile := func() error { return nil }
+	if *cpuprofile != "" {
+		f, err := os.Create(*cpuprofile)
+		if err != nil {
+			fatal(err)
+		}
+		if err := pprof.StartCPUProfile(f); err != nil {
+			fatal(err)
+		}
+		stopProfile = func() error {
+			pprof.StopCPUProfile()
+			return f.Close()
+		}
+	}
 	doc := output{Go: runtime.Version(), Nodes: *nodes, Weeks: *weeks, Seed: *seed, Iterations: *iters}
-	measure := func(label string, sc simtest.Scenario, records []trace.Record) {
+	measure := func(label string, sc simtest.Scenario, records []trace.Record) (measurement, error) {
 		best := measurement{Mechanism: sc.Mechanism, Mix: label, Jobs: len(records)}
 		for i := 0; i < *iters; i++ {
 			m, err := runOnce(sc, records)
 			if err != nil {
-				fatal(fmt.Errorf("%s/%s: %w", sc.Mechanism, label, err))
+				return best, err
 			}
 			if m.EventsPerSec > best.EventsPerSec {
 				best.Events, best.Seconds, best.EventsPerSec = m.Events, m.Seconds, m.EventsPerSec
@@ -125,7 +146,14 @@ func main() {
 		if best.Events > 0 {
 			best.AllocsPerEvent = float64(best.Allocs) / float64(best.Events)
 		}
-		doc.Benchmarks = append(doc.Benchmarks, best)
+		return best, nil
+	}
+	gridRow := func(label string, sc simtest.Scenario, records []trace.Record) {
+		m, err := measure(label, sc, records)
+		if err != nil {
+			fatal(fmt.Errorf("%s/%s: %w", sc.Mechanism, label, err))
+		}
+		doc.Benchmarks = append(doc.Benchmarks, m)
 	}
 	if *grid {
 		for _, mix := range simtest.Mixes() {
@@ -136,7 +164,7 @@ func main() {
 			}
 			for _, mech := range simtest.Mechanisms() {
 				sc.Mechanism = mech
-				measure(mix, sc, records)
+				gridRow(mix, sc, records)
 			}
 		}
 		// Fault-enabled configs: the W5 mix under an aggressive failure
@@ -151,7 +179,7 @@ func main() {
 		}
 		for _, mech := range simtest.Mechanisms() {
 			sc.Mechanism = mech
-			measure("W5+faults", sc, records)
+			gridRow("W5+faults", sc, records)
 		}
 	}
 
@@ -166,8 +194,7 @@ func main() {
 		}
 		// One light (baseline) and one heavy (CUA&SPAA: loans, preemption
 		// warnings, reshaping) scheduler per cell; W3 is the middle notice
-		// mix. Single iteration — the scale runs are long enough to be
-		// timing-stable on their own.
+		// mix.
 		for _, n := range sizes {
 			for _, w := range horizons {
 				for _, mech := range []string{"baseline", "CUA&SPAA"} {
@@ -176,18 +203,17 @@ func main() {
 					if err != nil {
 						fatal(err)
 					}
-					m, err := runOnce(sc, records)
+					m, err := measure("W3", sc, records)
 					if err != nil {
 						fatal(fmt.Errorf("scale %d/%dw %s: %w", n, w, mech, err))
 					}
-					doc.Scale = append(doc.Scale, scaleMeasurement{
-						Nodes: n, Weeks: w, Mechanism: mech, Mix: "W3",
-						Jobs: len(records), Events: m.Events,
-						Seconds: m.Seconds, EventsPerSec: m.EventsPerSec,
-					})
+					doc.Scale = append(doc.Scale, scaleMeasurement{Nodes: n, Weeks: w, measurement: m})
 				}
 			}
 		}
+	}
+	if err := stopProfile(); err != nil {
+		fatal(err)
 	}
 
 	if *stream > 0 {
@@ -220,6 +246,9 @@ func main() {
 	}
 }
 
+// timedLabels marks -cpuprofile samples taken inside a timed event loop.
+var timedLabels = pprof.WithLabels(context.Background(), pprof.Labels("run", "timed"))
+
 // runOnce executes one full simulation, timing only the event loop and
 // counting its dispatched events and heap allocations.
 func runOnce(sc simtest.Scenario, records []trace.Record) (measurement, error) {
@@ -229,13 +258,18 @@ func runOnce(sc simtest.Scenario, records []trace.Record) (measurement, error) {
 	}
 	var before, after runtime.MemStats
 	runtime.GC()
+	// Setting goroutine labels does not allocate, so the label leaves the
+	// malloc count alone.
+	pprof.SetGoroutineLabels(timedLabels)
 	runtime.ReadMemStats(&before)
 	start := time.Now()
-	if _, err := e.Run(); err != nil {
-		return measurement{}, err
-	}
+	_, err = e.Run()
 	secs := time.Since(start).Seconds()
 	runtime.ReadMemStats(&after)
+	pprof.SetGoroutineLabels(context.Background())
+	if err != nil {
+		return measurement{}, err
+	}
 	// DispatchedCount is exact: it excludes the rare deadlock-break steps
 	// that Step reports as progress without popping an event.
 	m := measurement{Events: e.DispatchedCount(), Seconds: secs, Allocs: after.Mallocs - before.Mallocs}

@@ -61,6 +61,10 @@ func (c *Cluster) FreeCount() int { return c.free.Len() }
 // FreeSet returns a copy of the free pool's node set.
 func (c *Cluster) FreeSet() *nodeset.Set { return c.free.Clone() }
 
+// KeepFree removes from s every node that is not in the free pool, reading
+// the pool in place rather than through a FreeSet copy.
+func (c *Cluster) KeepFree(s *nodeset.Set) { s.IntersectWith(c.free) }
+
 // DownCount returns the number of out-of-service nodes.
 func (c *Cluster) DownCount() int { return c.down.Len() }
 
@@ -114,7 +118,7 @@ func (c *Cluster) TakeDownExact(set *nodeset.Set) {
 	if set.Empty() {
 		return
 	}
-	if nodeset.Difference(set, c.free).Len() != 0 {
+	if !set.SubsetOf(c.free) {
 		panic("cluster: TakeDownExact on non-free nodes")
 	}
 	c.free.SubtractWith(set)
@@ -145,7 +149,7 @@ func (c *Cluster) Restore(set *nodeset.Set) {
 	if set.Empty() {
 		return
 	}
-	if nodeset.Difference(set, c.down).Len() != 0 {
+	if !set.SubsetOf(c.down) {
 		panic("cluster: Restore on nodes that are not down")
 	}
 	c.down.SubtractWith(set)
@@ -204,7 +208,7 @@ func (c *Cluster) ReserveExact(claim int, set *nodeset.Set) {
 	if set.Empty() {
 		return
 	}
-	if nodeset.Difference(set, c.free).Len() != 0 {
+	if !set.SubsetOf(c.free) {
 		panic(fmt.Sprintf("cluster: ReserveExact(%d) on non-free nodes", claim))
 	}
 	c.free.SubtractWith(set)
@@ -245,7 +249,7 @@ func (c *Cluster) AllocExact(job int, set *nodeset.Set) {
 	if set.Empty() {
 		return
 	}
-	if nodeset.Difference(set, c.free).Len() != 0 {
+	if !set.SubsetOf(c.free) {
 		panic(fmt.Sprintf("cluster: AllocExact(job %d) on non-free nodes", job))
 	}
 	c.free.SubtractWith(set)
@@ -324,7 +328,8 @@ func (c *Cluster) Claims() []int {
 // partition the node universe exactly. It returns a descriptive error on
 // violation.
 func (c *Cluster) CheckInvariant() error {
-	all := c.free.Clone()
+	all := nodeset.New(c.n)
+	all.UnionWith(c.free)
 	total := c.free.Len()
 	if all.Intersects(c.down) {
 		return fmt.Errorf("cluster: down pool overlaps the free pool")
@@ -365,7 +370,7 @@ func (c *Cluster) CheckInvariant() error {
 func (c *Cluster) reservation(claim int) *nodeset.Set {
 	s, ok := c.reserved[claim]
 	if !ok {
-		s = nodeset.New(c.n)
+		s = &nodeset.Set{}
 		c.reserved[claim] = s
 	}
 	return s
@@ -374,7 +379,7 @@ func (c *Cluster) reservation(claim int) *nodeset.Set {
 func (c *Cluster) allocation(job int) *nodeset.Set {
 	s, ok := c.alloc[job]
 	if !ok {
-		s = nodeset.New(c.n)
+		s = &nodeset.Set{}
 		c.alloc[job] = s
 	}
 	return s

@@ -105,7 +105,7 @@ func (m *Mechanism) returnLoans(s *odState, available *nodeset.Set) *nodeset.Set
 		// An earlier immediate resume may have consumed free nodes that this
 		// loan references; only still-free nodes can be handed back.
 		give := nodeset.Intersection(l.nodes, remaining)
-		give.IntersectWith(m.e.Cluster().FreeSet())
+		m.e.Cluster().KeepFree(give)
 		if give.Empty() {
 			continue
 		}
@@ -135,7 +135,7 @@ func (m *Mechanism) returnLoans(s *odState, available *nodeset.Set) *nodeset.Set
 				if m.e.TryResumeNow(lender) {
 					// The resume consumed the returned nodes plus possibly
 					// further free nodes other loans reference.
-					remaining.IntersectWith(m.e.Cluster().FreeSet())
+					m.e.Cluster().KeepFree(remaining)
 				} else {
 					m.e.Cluster().UnreserveAll(lender.ID)
 				}
@@ -143,7 +143,7 @@ func (m *Mechanism) returnLoans(s *odState, available *nodeset.Set) *nodeset.Set
 		}
 	}
 	s.loans = nil
-	remaining.IntersectWith(m.e.Cluster().FreeSet())
+	m.e.Cluster().KeepFree(remaining)
 	return remaining
 }
 

@@ -166,14 +166,14 @@ func (m *Mechanism) registerCollector(s *odState) {
 }
 
 // offerToCollectors hands freshly released nodes to collecting on-demand
-// jobs in advance-notice order (paper §III-B.1) and returns whatever is left
-// over. A queued (already arrived) collector whose gather completes starts
-// on the spot.
-func (m *Mechanism) offerToCollectors(freed *nodeset.Set) *nodeset.Set {
-	remaining := freed.Clone()
+// jobs in advance-notice order (paper §III-B.1); freed itself is left
+// untouched. A queued (already arrived) collector whose gather completes
+// starts on the spot.
+func (m *Mechanism) offerToCollectors(freed *nodeset.Set) {
 	if len(m.collectors) == 0 {
-		return remaining
+		return
 	}
+	remaining := freed.Clone()
 	active := m.collectors[:0]
 	for _, s := range m.collectors {
 		if !s.collecting || s.started {
@@ -195,7 +195,6 @@ func (m *Mechanism) offerToCollectors(freed *nodeset.Set) *nodeset.Set {
 		active = append(active, s)
 	}
 	m.collectors = active
-	return remaining
 }
 
 // handleReleaseTimeout releases an absent on-demand job's reservation

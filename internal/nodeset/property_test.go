@@ -1,9 +1,12 @@
 package nodeset
 
 import (
+	"bytes"
 	"math/bits"
 	"testing"
 	"testing/quick"
+
+	"hybridsched/internal/snapshot"
 )
 
 // Property-based tests: every algebraic law a Set must obey is checked
@@ -186,8 +189,8 @@ func TestGrowOnAdd(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			before := tc.s.Len()
 			tc.s.Add(1000) // far beyond any initial capacity
-			if len(tc.s.words) < 1000/wordBits+1 {
-				t.Fatalf("words did not grow: %d", len(tc.s.words))
+			if tc.s.off+len(tc.s.words) < 1000/wordBits+1 {
+				t.Fatalf("words did not grow to cover node 1000: off %d, %d words", tc.s.off, len(tc.s.words))
 			}
 			if !tc.s.Contains(1000) || tc.s.Len() != before+1 {
 				t.Fatalf("Add(1000) not reflected: len %d", tc.s.Len())
@@ -202,4 +205,168 @@ func TestGrowOnAdd(t *testing.T) {
 			}
 		})
 	}
+}
+
+// Offset sets: the properties below build sets far from word 0, whose
+// stored span starts at a base word offset, and check them against the same
+// map model.
+
+// farBase puts offset sets ~1M nodes up, far past any uint16 ID.
+const farBase = 1 << 20
+
+// fromIDsAt is fromIDs16 shifted up by base.
+func fromIDsAt(base int, ids []uint16) (*Set, map[int]bool) {
+	s := &Set{}
+	model := make(map[int]bool, len(ids))
+	for _, id := range ids {
+		s.Add(base + int(id))
+		model[base+int(id)] = true
+	}
+	return s, model
+}
+
+// tight reports whether s stores exactly the words from its lowest to its
+// highest member.
+func tight(s *Set) bool {
+	if s.Empty() {
+		return len(s.words) == 0
+	}
+	ids := s.IDs()
+	lo, hi := ids[0], ids[len(ids)-1]
+	return s.off == lo/wordBits && len(s.words) == hi/wordBits-lo/wordBits+1
+}
+
+func TestQuickFarSetsModel(t *testing.T) {
+	quickCheck(t, "far add/remove/clone", func(add, remove []uint16) bool {
+		s, model := fromIDsAt(farBase, add)
+		for _, id := range remove {
+			s.Remove(farBase + int(id))
+			delete(model, farBase+int(id))
+		}
+		if !agrees(s, model) {
+			return false
+		}
+		// A set that ever held a member stays far from word 0, and a clone
+		// stores only its members' span.
+		if len(add) > 0 && s.off < farBase/wordBits/2 {
+			return false
+		}
+		c := s.Clone()
+		return agrees(c, model) && tight(c) && c.Equal(s)
+	})
+}
+
+func TestQuickDisjointSpans(t *testing.T) {
+	quickCheck(t, "algebra across disjoint spans", func(a, b []uint16) bool {
+		near, mn := fromIDs16(a)
+		far, mf := fromIDsAt(farBase, b)
+		mu := make(map[int]bool, len(mn)+len(mf))
+		for id := range mn {
+			mu[id] = true
+		}
+		for id := range mf {
+			mu[id] = true
+		}
+		if near.Intersects(far) || far.Intersects(near) {
+			return false
+		}
+		if !agrees(Union(near, far), mu) || !agrees(Union(far, near), mu) {
+			return false
+		}
+		if !agrees(Difference(near, far), mn) || !agrees(Difference(far, near), mf) {
+			return false
+		}
+		if !Intersection(near, far).Empty() || !Intersection(far, near).Empty() {
+			return false
+		}
+		if near.SubsetOf(far) != near.Empty() || far.SubsetOf(near) != far.Empty() {
+			return false
+		}
+		if !near.SubsetOf(Union(near, far)) || !far.SubsetOf(Union(near, far)) {
+			return false
+		}
+		if near.Equal(far) != (near.Empty() && far.Empty()) {
+			return false
+		}
+		// In-place operations leave the operands' models intact.
+		far.SubtractWith(near)
+		near.IntersectWith(far)
+		return agrees(far, mf) && near.Empty()
+	})
+}
+
+func TestQuickOverlappingOffsetSpans(t *testing.T) {
+	quickCheck(t, "algebra across shifted spans", func(a, b []uint16, shift uint16) bool {
+		// Two far sets whose spans overlap by a random amount.
+		sa, ma := fromIDsAt(farBase, a)
+		sb, mb := fromIDsAt(farBase+int(shift)%4096, b)
+		mi, md, mu := map[int]bool{}, map[int]bool{}, map[int]bool{}
+		subset := true
+		for id := range ma {
+			mu[id] = true
+			if mb[id] {
+				mi[id] = true
+			} else {
+				md[id] = true
+				subset = false
+			}
+		}
+		for id := range mb {
+			mu[id] = true
+		}
+		return agrees(Union(sa, sb), mu) && agrees(Intersection(sa, sb), mi) &&
+			agrees(Difference(sa, sb), md) && sa.SubsetOf(sb) == subset &&
+			sa.Intersects(sb) == (len(mi) > 0) && sa.Equal(sb) == (subset && len(ma) == len(mb))
+	})
+}
+
+func TestQuickPickPastEmptyLowWords(t *testing.T) {
+	quickCheck(t, "pick after the low words empty", func(ids []uint16, first, k uint8) bool {
+		s, model := fromIDsAt(farBase, ids)
+		// Empty the low words twice over: a first Pick advances the hint,
+		// and removing the next lowest members leaves zero words past it.
+		s.Pick(int(first))
+		for i := 0; i < int(first)/2 && !s.Empty(); i++ {
+			id, _ := s.NextSet(0)
+			s.Remove(id)
+		}
+		rest := make(map[int]bool, s.Len())
+		for _, id := range s.IDs() {
+			rest[id] = true
+		}
+		for id := range model {
+			if !rest[id] {
+				delete(model, id)
+			}
+		}
+		want := naivePick(s.Clone(), int(k))
+		got := s.Pick(int(k))
+		for _, id := range got.IDs() {
+			delete(model, id)
+		}
+		return got.Equal(want) && tight(got) && agrees(s, model) && !got.Intersects(s)
+	})
+}
+
+func TestQuickEncodeMatchesWordZero(t *testing.T) {
+	quickCheck(t, "offset encoding equals word-0 encoding", func(ids []uint16, base uint16, k uint8) bool {
+		s, model := fromIDsAt(int(base)*wordBits/3, ids)
+		picked := s.Clone().Pick(int(k))
+		for _, set := range []*Set{s, s.Clone(), picked} {
+			flat := New(int(base)*wordBits/3 + 1<<16)
+			set.ForEach(func(id int) bool {
+				flat.Add(id)
+				return true
+			})
+			if flat.off != 0 || !bytes.Equal(encoded(set), encoded(flat)) {
+				return false
+			}
+			d := snapshot.NewDec(encoded(set))
+			back := DecodeSnapshotSet(d)
+			if d.Done() != nil || !back.Equal(set) || !tight(back) {
+				return false
+			}
+		}
+		return agrees(s, model)
+	})
 }
