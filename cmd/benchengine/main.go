@@ -18,7 +18,10 @@
 // peak live heap alongside throughput (the engine holds only in-flight jobs,
 // so peak heap must not grow with N). -baseline FILE compares every row
 // against a previously emitted document and exits 1 if any shared row's
-// events/sec fell by more than -max-regress. -cpuprofile FILE profiles the
+// events/sec fell by more than -max-regress, or its allocs/event rose by more
+// than allocTolerance: allocation counts repeat to a few hundredths of a
+// percent between runs, so they need no derating. A baseline field left at
+// zero is not checked. -cpuprofile FILE profiles the
 // grid and scale runs, in which only the timed event loops carry the pprof
 // label run=timed, so
 //
@@ -109,7 +112,7 @@ func main() {
 		scaleWeeks = flag.String("scale-weeks", "1,4", "horizons (weeks) crossed with the -scale sizes")
 		stream     = flag.Int("stream", 0, "streamed-ingest run: this many jobs through a ReleaseCompleted engine (0 = off)")
 		baseline   = flag.String("baseline", "", "compare against this previously emitted document")
-		maxRegress = flag.Float64("max-regress", 0.25, "with -baseline: fail if any shared row's events/sec fell by more than this fraction")
+		maxRegress = flag.Float64("max-regress", 0.25, fmt.Sprintf("with -baseline: fail if any shared row's events/sec fell by more than this fraction (allocs/event may rise by at most %.0f%%)", 100*allocTolerance))
 		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile of the grid and scale runs to this file; their timed event loops carry the label run=timed")
 	)
 	flag.Parse()
@@ -336,10 +339,15 @@ func runStream(total, nodes int) (streamMeasurement, error) {
 	return m, nil
 }
 
+// allocTolerance is how far a row's allocs/event may rise above its
+// baseline before -baseline fails it.
+const allocTolerance = 0.05
+
 // compareBaseline checks every row of doc that also appears in the baseline
-// document and reports rows whose events/sec fell by more than maxRegress.
-// Rows only present on one side are ignored, so a conservative committed
-// baseline can pin just the cells CI cares about.
+// document and reports rows whose events/sec fell by more than maxRegress
+// or whose allocs/event rose by more than allocTolerance. Rows only present
+// on one side are ignored, so a conservative committed baseline can pin
+// just the cells CI cares about.
 func compareBaseline(doc output, path string, maxRegress float64) error {
 	raw, err := os.ReadFile(path)
 	if err != nil {
@@ -349,35 +357,39 @@ func compareBaseline(doc output, path string, maxRegress float64) error {
 	if err := json.Unmarshal(raw, &base); err != nil {
 		return fmt.Errorf("parse baseline %s: %w", path, err)
 	}
-	gridBase := make(map[string]float64, len(base.Benchmarks))
+	gridBase := make(map[string]measurement, len(base.Benchmarks))
 	for _, b := range base.Benchmarks {
-		gridBase[b.Mechanism+"/"+b.Mix] = b.EventsPerSec
+		gridBase[b.Mechanism+"/"+b.Mix] = b
 	}
-	scaleBase := make(map[string]float64, len(base.Scale))
+	scaleBase := make(map[string]measurement, len(base.Scale))
 	for _, b := range base.Scale {
-		scaleBase[scaleKey(b)] = b.EventsPerSec
+		scaleBase[scaleKey(b)] = b.measurement
 	}
 	var regressions []string
-	check := func(key string, got, want float64) {
-		if want > 0 && got < want*(1-maxRegress) {
+	check := func(key string, got, want measurement) {
+		if want.EventsPerSec > 0 && got.EventsPerSec < want.EventsPerSec*(1-maxRegress) {
 			regressions = append(regressions,
-				fmt.Sprintf("%s: %.0f events/sec vs baseline %.0f (-%.0f%%)",
-					key, got, want, 100*(1-got/want)))
+				fmt.Sprintf("%s: %.0f events/sec vs baseline %.0f (-%.0f%%, allowed -%.0f%%)",
+					key, got.EventsPerSec, want.EventsPerSec, 100*(1-got.EventsPerSec/want.EventsPerSec), 100*maxRegress))
+		}
+		if want.AllocsPerEvent > 0 && got.AllocsPerEvent > want.AllocsPerEvent*(1+allocTolerance) {
+			regressions = append(regressions,
+				fmt.Sprintf("%s: %.4f allocs/event vs baseline %.4f (+%.1f%%, allowed +%.0f%%)",
+					key, got.AllocsPerEvent, want.AllocsPerEvent, 100*(got.AllocsPerEvent/want.AllocsPerEvent-1), 100*allocTolerance))
 		}
 	}
 	for _, m := range doc.Benchmarks {
 		if want, ok := gridBase[m.Mechanism+"/"+m.Mix]; ok {
-			check(m.Mechanism+"/"+m.Mix, m.EventsPerSec, want)
+			check(m.Mechanism+"/"+m.Mix, m, want)
 		}
 	}
 	for _, m := range doc.Scale {
 		if want, ok := scaleBase[scaleKey(m)]; ok {
-			check("scale "+scaleKey(m), m.EventsPerSec, want)
+			check("scale "+scaleKey(m), m.measurement, want)
 		}
 	}
 	if len(regressions) > 0 {
-		return fmt.Errorf("throughput regressed beyond %.0f%%:\n  %s",
-			100*maxRegress, strings.Join(regressions, "\n  "))
+		return fmt.Errorf("regressed against %s:\n  %s", path, strings.Join(regressions, "\n  "))
 	}
 	return nil
 }

@@ -229,18 +229,22 @@ func (c *Cluster) UnreserveAll(claim int) *nodeset.Set {
 	return s
 }
 
-// AllocFree moves exactly k free nodes to job's allocation and returns them.
-// It panics if fewer than k nodes are free — callers must check first.
-func (c *Cluster) AllocFree(job, k int) *nodeset.Set {
+// AllocFree moves exactly k free nodes to job's allocation (read it back
+// with Allocated). It panics if fewer than k nodes are free — callers must
+// check first.
+func (c *Cluster) AllocFree(job, k int) {
 	if k <= 0 {
-		return &nodeset.Set{}
+		return
 	}
 	if c.free.Len() < k {
 		panic(fmt.Sprintf("cluster: AllocFree(job %d, %d) with only %d free", job, k, c.free.Len()))
 	}
 	taken := c.free.Pick(k)
-	c.allocation(job).UnionWith(taken)
-	return taken
+	if s, ok := c.alloc[job]; ok {
+		s.UnionWith(taken)
+	} else {
+		c.alloc[job] = taken // nothing else holds the picked set
+	}
 }
 
 // AllocExact moves the specific free nodes in set to job's allocation.

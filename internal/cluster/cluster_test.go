@@ -34,7 +34,8 @@ func TestNewPanicsOnZeroNodes(t *testing.T) {
 
 func TestAllocFreeAndRelease(t *testing.T) {
 	c := New(100)
-	s := c.AllocFree(1, 30)
+	c.AllocFree(1, 30)
+	s := c.Allocated(1)
 	if s.Len() != 30 || c.FreeCount() != 70 || c.AllocatedCount(1) != 30 {
 		t.Fatal("alloc wrong")
 	}
@@ -118,8 +119,9 @@ func TestUnreserveAll(t *testing.T) {
 
 func TestReserveExactAndAllocExact(t *testing.T) {
 	c := New(50)
-	rel := c.AllocFree(1, 10) // nodes 0..9
-	ret := c.Release(1)       // back to free
+	c.AllocFree(1, 10) // nodes 0..9
+	rel := c.Allocated(1)
+	ret := c.Release(1) // back to free
 	if !rel.Equal(ret) {
 		t.Fatal("release must return the same nodes")
 	}
@@ -340,7 +342,8 @@ func TestTakeDownFreeClampsToFree(t *testing.T) {
 
 func TestTakeDownExactPanicsOnHeldNodes(t *testing.T) {
 	c := New(10)
-	held := c.AllocFree(1, 4)
+	c.AllocFree(1, 4)
+	held := c.Allocated(1)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("expected panic")
@@ -391,7 +394,8 @@ func TestRestorePanicsOnInServiceNodes(t *testing.T) {
 
 func TestHolderLookups(t *testing.T) {
 	c := New(20)
-	a := c.AllocFree(5, 4)
+	c.AllocFree(5, 4)
+	a := c.Allocated(5)
 	r := c.Reserve(9, 3)
 	aid, rid := a.IDs()[0], r.IDs()[0]
 	if j, ok := c.AllocHolder(aid); !ok || j != 5 {

@@ -1,11 +1,16 @@
 // Package eventq implements the deterministic priority event queue that
 // drives the discrete-event scheduling simulator.
 //
-// Events are ordered by (Time, Priority, sequence number). The sequence
-// number — assigned at push time — breaks ties deterministically, so two runs
-// of the same simulation always dispatch events in the same order. Entries
-// can be cancelled cheaply, which the mechanisms use to withdraw planned
-// preemptions and reservation timeouts when an on-demand job arrives early.
+// Events are ordered by (Time, Priority, sequence number), the order Key
+// exports. The sequence number — assigned at push time — breaks ties
+// deterministically, so two runs of the same simulation always dispatch
+// events in the same order. A caller may also reserve a sequence number with
+// TakeSeq for an event it keeps outside the queue and merge it with the
+// queue's events under Key order: the simulation engine does so for the
+// arrivals it knows up front and for its scheduler pass, so the calendar
+// holds only in-flight events. Entries can be cancelled cheaply, which the
+// mechanisms use to withdraw planned preemptions and reservation timeouts
+// when an on-demand job arrives early.
 //
 // The queue is a calendar queue (Brown, CACM'88): a power-of-two ring of
 // sorted buckets indexed by floor(Time/width), which makes Push/Pop amortized
@@ -36,6 +41,40 @@ const (
 	PrioSchedule                 // scheduler invocation, always last
 )
 
+// Key is an event's place in the dispatch order: earlier Time first, then
+// lower Prio, then lower Seq. Sequence numbers are unique within a queue, so
+// the order is total. The queue orders its events by it, and a caller that
+// keeps events of its own outside the queue (see TakeSeq) merges them with
+// the queue's under the same order.
+type Key struct {
+	Time int64
+	Prio Priority
+	Seq  uint64
+}
+
+// Before reports whether an event at a dispatches before one at b.
+func (a Key) Before(b Key) bool {
+	if a.Time != b.Time {
+		return a.Time < b.Time
+	}
+	if a.Prio != b.Prio {
+		return a.Prio < b.Prio
+	}
+	return a.Seq < b.Seq
+}
+
+// Compare returns -1, 0 or +1 as a dispatches before, with, or after b, for
+// use with slices.SortFunc.
+func (a Key) Compare(b Key) int {
+	switch {
+	case a.Before(b):
+		return -1
+	case b.Before(a):
+		return 1
+	}
+	return 0
+}
+
 // Event is an entry in the queue. Payload is opaque to the queue.
 type Event struct {
 	Time    int64
@@ -50,6 +89,9 @@ type Event struct {
 
 // Canceled reports whether Cancel was called on the event.
 func (e *Event) Canceled() bool { return e.canceled }
+
+// Key returns the event's place in the dispatch order.
+func (e *Event) Key() Key { return Key{Time: e.Time, Prio: e.Prio, Seq: e.seq} }
 
 // minBuckets is the initial (and minimum) calendar ring size.
 const minBuckets = 4
@@ -85,6 +127,16 @@ func (q *Queue) EnablePooling() { q.pooling = true }
 // Len returns the number of live (non-cancelled) events.
 // Cancelled events are removed eagerly, so this is exact.
 func (q *Queue) Len() int { return q.n }
+
+// TakeSeq reserves the next sequence number without scheduling anything, for
+// an event the caller keeps outside the queue: it dispatches exactly where a
+// Push at that point would have placed it, provided the caller merges it with
+// the queue's events under Key order.
+func (q *Queue) TakeSeq() uint64 {
+	s := q.seq
+	q.seq++
+	return s
+}
 
 // Push schedules payload at time t with priority p and returns a handle that
 // can be used to cancel it.
@@ -278,15 +330,7 @@ func (q *Queue) Recycle(e *Event) {
 }
 
 // before reports whether a should dispatch before b.
-func before(a, b *Event) bool {
-	if a.Time != b.Time {
-		return a.Time < b.Time
-	}
-	if a.Prio != b.Prio {
-		return a.Prio < b.Prio
-	}
-	return a.seq < b.seq
-}
+func before(a, b *Event) bool { return a.Key().Before(b.Key()) }
 
 // floorDiv is floor(a/w) for positive w, exact for negative a (Go's integer
 // division truncates toward zero).

@@ -2,6 +2,7 @@ package eventq
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -48,6 +49,43 @@ func TestFIFOWithinSamePriority(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		if got := q.Pop().Payload.(int); got != i {
 			t.Fatalf("tie-break not FIFO: got %d, want %d", got, i)
+		}
+	}
+}
+
+// TestTakeSeqMergesUnderKeyOrder keeps some events outside the queue under
+// sequence numbers from TakeSeq, as the engine keeps its primed arrivals and
+// its scheduler pass, and checks that merging them with the queue's pops
+// under Key order reproduces the order of a queue that held them all.
+func TestTakeSeqMergesUnderKeyOrder(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	var all, held Queue
+	var outside []Key
+	for i := 0; i < 500; i++ {
+		tm, p := int64(rng.Intn(50)), Priority(rng.Intn(int(PrioSchedule)+1))
+		ref := all.Push(tm, p, i)
+		if rng.Intn(2) == 0 {
+			if seq := held.TakeSeq(); seq != ref.Seq() {
+				t.Fatalf("TakeSeq %d, Push numbered the same event %d", seq, ref.Seq())
+			}
+			outside = append(outside, Key{Time: tm, Prio: p, Seq: ref.Seq()})
+			continue
+		}
+		if ev := held.Push(tm, p, i); ev.Key() != ref.Key() {
+			t.Fatalf("held key %+v, reference %+v", ev.Key(), ref.Key())
+		}
+	}
+	slices.SortFunc(outside, func(a, b Key) int { return a.Compare(b) })
+	for all.Len() > 0 {
+		want := all.Pop().Key()
+		var got Key
+		if ev := held.Peek(); ev != nil && (len(outside) == 0 || ev.Key().Before(outside[0])) {
+			got = held.Pop().Key()
+		} else {
+			got, outside = outside[0], outside[1:]
+		}
+		if got != want {
+			t.Fatalf("merged %+v, reference queue %+v", got, want)
 		}
 	}
 }

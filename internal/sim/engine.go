@@ -14,6 +14,7 @@ package sim
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"hybridsched/internal/cluster"
@@ -226,6 +227,14 @@ type Event struct {
 	Nodes int       // node count involved (job size, shrink/expand delta, down/up count)
 }
 
+// primedEvent is the arrival (Prio PrioArrive) or advance notice (PrioNotice)
+// of a job registered before the first Step. These wait in the engine's
+// sorted cursor, not in the calendar; see prime.
+type primedEvent struct {
+	key eventq.Key
+	j   *job.Job
+}
+
 // squat records a backfilled job occupying nodes reserved for a claim.
 type squat struct {
 	claim int
@@ -261,7 +270,18 @@ type Engine struct {
 	mech Mechanism
 	clk  int64
 
-	q   eventq.Queue
+	// Pending events come from three sources, dispatched in one
+	// (Time, Prio, Seq) order (see peek): the calendar q holds in-flight
+	// events and live submissions; primedEvs holds the arrivals and notices
+	// of the jobs known at prime, sorted once, with nextPrimed the earliest
+	// not yet dispatched; and a requested scheduler pass is schedPending
+	// plus schedSeq, since it always sits at the clock with the last
+	// priority. Snapshot writes the three as one merged event list.
+	q          eventq.Queue
+	primedEvs  []primedEvent
+	nextPrimed int
+	schedSeq   uint64
+
 	cl  *cluster.Cluster
 	met *metrics.Collector
 	//schedlint:snapfield telemetry stopwatch is host wiring, re-injected via Config at restore
@@ -571,7 +591,10 @@ func (e *Engine) emit(t EventType, j *job.Job, nodes int) {
 
 // prime schedules the arrival (and notice) events of every job registered
 // before the first Step and opens the metrics observation window at the
-// earliest submission. It runs exactly once, lazily.
+// earliest submission. It runs exactly once, lazily. The events never enter
+// the calendar: each takes the sequence number a push would have given it,
+// in registration order, and the lot is sorted once into the primed cursor,
+// which Step merges with the calendar under the same order.
 func (e *Engine) prime() {
 	if e.primed {
 		return
@@ -580,16 +603,28 @@ func (e *Engine) prime() {
 	if len(e.jobs) == 0 {
 		return
 	}
+	n := len(e.jobs)
+	for _, j := range e.jobs {
+		if hasNotice(j) {
+			n++
+		}
+	}
+	evs := make([]primedEvent, 0, n)
 	minSubmit := e.jobs[0].SubmitTime
 	for _, j := range e.jobs {
 		if j.SubmitTime < minSubmit {
 			minSubmit = j.SubmitTime
 		}
-		e.pushArrival(j, false)
+		evs = append(evs, primedEvent{eventq.Key{Time: j.SubmitTime, Prio: eventq.PrioArrive, Seq: e.q.TakeSeq()}, j})
+		if hasNotice(j) {
+			evs = append(evs, primedEvent{eventq.Key{Time: j.NoticeTime, Prio: eventq.PrioNotice, Seq: e.q.TakeSeq()}, j})
+		}
 	}
+	slices.SortFunc(evs, func(a, b primedEvent) int { return a.key.Compare(b.key) })
+	e.primedEvs, e.nextPrimed = evs, 0
 	e.met.NoteSubmit(minSubmit)
 	if e.cfg.ReleaseCompleted {
-		// Every primed job now lives in the event queue and the index; the
+		// Every primed job now lives in the cursor and the index; the
 		// registration list would otherwise pin all of them forever.
 		e.jobs = nil
 	}
@@ -598,24 +633,28 @@ func (e *Engine) prime() {
 	// time, before the first submission.
 }
 
-// pushArrival schedules a job's arrival and (for noticed on-demand jobs) its
-// advance-notice event. With clamp set, a notice instant already in the past
-// fires immediately instead of violating clock monotonicity.
-func (e *Engine) pushArrival(j *job.Job, clamp bool) {
+// hasNotice reports whether j is an on-demand job announced ahead of its
+// arrival.
+func hasNotice(j *job.Job) bool {
+	return j.Class == job.OnDemand && j.NoticeTime < j.SubmitTime
+}
+
+// pushArrival schedules a live submission's arrival and (for noticed
+// on-demand jobs) its advance-notice event in the calendar. A notice instant
+// already in the past fires immediately instead of violating clock
+// monotonicity.
+func (e *Engine) pushArrival(j *job.Job) {
 	e.q.Push(j.SubmitTime, eventq.PrioArrive, evArrive{j})
-	if j.Class == job.OnDemand && j.NoticeTime < j.SubmitTime {
-		t := j.NoticeTime
-		if clamp && t < e.clk {
-			t = e.clk
-		}
-		e.q.Push(t, eventq.PrioNotice, evNotice{j})
+	if hasNotice(j) {
+		e.q.Push(max(j.NoticeTime, e.clk), eventq.PrioNotice, evNotice{j})
 	}
 }
 
 // Submit registers an additional job with the engine. Before the first Step
-// the job simply joins the initial trace; after that it is injected into the
-// live event stream, so its submission time must not lie in the past. Job
-// IDs must be unique and sizes must fit the system.
+// the job simply joins the initial trace, whose arrivals prime sorts into
+// the primed cursor; after that it is injected into the live event stream
+// through the calendar, so its submission time must not lie in the past.
+// Job IDs must be unique and sizes must fit the system.
 func (e *Engine) Submit(j *job.Job) error {
 	if j == nil {
 		return fmt.Errorf("sim: Submit of nil job")
@@ -641,22 +680,56 @@ func (e *Engine) Submit(j *job.Job) error {
 		e.jobs = append(e.jobs, j)
 	}
 	e.met.NoteSubmit(j.SubmitTime)
-	e.pushArrival(j, true)
+	e.pushArrival(j)
 	return nil
 }
 
-// Step processes the next pending event. It returns false when nothing is
-// left to do: every submitted job has completed (more jobs may still be
-// Submitted afterwards to continue the run). A drained event queue with
-// incomplete jobs is a stall: the engine first tries to dissolve reservation
-// hold deadlocks, then reports an error.
+// eventSource names where the next pending event lives; see peek.
+type eventSource int8
+
+const (
+	fromNone     eventSource = iota // nothing pending
+	fromPass                        // the requested scheduler pass
+	fromPrimed                      // the primed cursor's head
+	fromCalendar                    // the calendar's minimum
+)
+
+// peek locates the earliest pending event across the engine's three sources
+// — the requested scheduler pass, the primed cursor and the calendar — under
+// the one (Time, Prio, Seq) dispatch order, and returns its key.
+func (e *Engine) peek() (eventq.Key, eventSource) {
+	var k eventq.Key
+	src := fromNone
+	if e.schedPending {
+		k, src = eventq.Key{Time: e.clk, Prio: eventq.PrioSchedule, Seq: e.schedSeq}, fromPass
+	}
+	if e.nextPrimed < len(e.primedEvs) {
+		if pk := e.primedEvs[e.nextPrimed].key; src == fromNone || pk.Before(k) {
+			k, src = pk, fromPrimed
+		}
+	}
+	if ev := e.q.Peek(); ev != nil {
+		if ck := ev.Key(); src == fromNone || ck.Before(k) {
+			k, src = ck, fromCalendar
+		}
+	}
+	return k, src
+}
+
+// Step processes the next pending event: the earliest, in (Time, Prio, Seq)
+// order, of the requested scheduler pass, the primed arrivals and notices,
+// and the calendar. It returns false when nothing is left to do: every
+// submitted job has completed (more jobs may still be Submitted afterwards
+// to continue the run). Nothing pending with incomplete jobs is a stall: the
+// engine first tries to dissolve reservation hold deadlocks, then reports an
+// error.
 func (e *Engine) Step() (bool, error) {
 	e.prime()
 	if e.err != nil {
 		return false, e.err
 	}
-	ev := e.q.Pop()
-	if ev == nil {
+	k, src := e.peek()
+	if src == fromNone {
 		if e.completed < e.registered {
 			if e.breakHoldDeadlock() {
 				return true, nil
@@ -666,17 +739,40 @@ func (e *Engine) Step() (bool, error) {
 		}
 		return false, nil
 	}
-	if ev.Time < e.clk {
-		return false, fmt.Errorf("sim: time went backwards (%d < %d)", ev.Time, e.clk)
+	if k.Time < e.clk {
+		return false, fmt.Errorf("sim: time went backwards (%d < %d)", k.Time, e.clk)
 	}
-	if e.cfg.MaxSimTime > 0 && ev.Time > e.cfg.MaxSimTime {
-		return false, fmt.Errorf("sim: exceeded MaxSimTime at t=%d", ev.Time)
+	if e.cfg.MaxSimTime > 0 && k.Time > e.cfg.MaxSimTime {
+		return false, fmt.Errorf("sim: exceeded MaxSimTime at t=%d", k.Time)
 	}
-	e.met.NoteReserved(ev.Time, e.cl.TotalReserved())
-	e.met.NoteDown(ev.Time, e.cl.DownCount())
-	e.clk = ev.Time
+	e.met.NoteReserved(k.Time, e.cl.TotalReserved())
+	e.met.NoteDown(k.Time, e.cl.DownCount())
+	e.clk = k.Time
 	e.dispatched++
-	e.dispatch(ev)
+	var what any // the dispatched payload, named in a Validate failure
+	switch src {
+	case fromPass:
+		what = evSched{}
+		e.schedPending = false
+		e.schedulePass()
+	case fromPrimed:
+		pe := e.primedEvs[e.nextPrimed]
+		e.primedEvs[e.nextPrimed] = primedEvent{} // a streamed run must not pin the job
+		if e.nextPrimed++; e.nextPrimed == len(e.primedEvs) {
+			e.primedEvs, e.nextPrimed = nil, 0
+		}
+		if pe.key.Prio == eventq.PrioNotice {
+			what = evNotice{pe.j}
+			e.handleNotice(pe.j)
+		} else {
+			what = evArrive{pe.j}
+			e.handleArrive(pe.j)
+		}
+	case fromCalendar:
+		ev := e.q.Pop()
+		what = ev.Payload
+		e.dispatch(ev)
+	}
 	e.met.NoteReserved(e.clk, e.cl.TotalReserved())
 	e.met.NoteDown(e.clk, e.cl.DownCount())
 	if e.err != nil {
@@ -684,21 +780,22 @@ func (e *Engine) Step() (bool, error) {
 	}
 	if e.cfg.Validate {
 		if err := e.cl.CheckInvariant(); err != nil {
-			return false, fmt.Errorf("sim: after %T at t=%d: %w", ev.Payload, e.clk, err)
+			return false, fmt.Errorf("sim: after %T at t=%d: %w", what, e.clk, err)
 		}
 	}
 	return true, nil
 }
 
-// PeekTime returns the virtual time of the next pending event, or false when
-// the queue is drained.
+// PeekTime returns the virtual time of the next pending event — the
+// scheduler pass, a primed arrival or notice, or a calendar event, whichever
+// Step would dispatch next — or false when nothing is pending.
 func (e *Engine) PeekTime() (int64, bool) {
 	e.prime()
-	ev := e.q.Peek()
-	if ev == nil {
+	k, src := e.peek()
+	if src == fromNone {
 		return 0, false
 	}
-	return ev.Time, true
+	return k.Time, true
 }
 
 // AdvanceTo moves the virtual clock forward to t without processing events,
@@ -712,8 +809,8 @@ func (e *Engine) AdvanceTo(t int64) error {
 	if e.cfg.MaxSimTime > 0 && t > e.cfg.MaxSimTime {
 		return fmt.Errorf("sim: exceeded MaxSimTime at t=%d", t)
 	}
-	if ev := e.q.Peek(); ev != nil && ev.Time <= t {
-		return fmt.Errorf("sim: AdvanceTo(%d) would skip the event pending at t=%d", t, ev.Time)
+	if k, src := e.peek(); src != fromNone && k.Time <= t {
+		return fmt.Errorf("sim: AdvanceTo(%d) would skip the event pending at t=%d", t, k.Time)
 	}
 	e.met.NoteReserved(t, e.cl.TotalReserved())
 	e.met.NoteDown(t, e.cl.DownCount())
@@ -763,7 +860,8 @@ func (e *Engine) fail(format string, args ...any) {
 	}
 }
 
-// Event payloads.
+// Event payloads. evSched never enters the calendar: it names the pending
+// scheduler pass in frames and in Validate failures.
 type (
 	evArrive struct{ j *job.Job }
 	evNotice struct{ j *job.Job }
@@ -776,12 +874,13 @@ type (
 	evSched struct{}
 )
 
+// dispatch handles an event popped from the calendar.
 func (e *Engine) dispatch(ev *eventq.Event) {
-	// Popped events are recycled once no reference can survive: arrivals,
-	// notices, and scheduler passes hand out no handles; end/warning events
-	// are recycled only if the handler cleared the job's handle (it does,
-	// except on a failing run). Timer events are never recycled — their
-	// handles live with the mechanism, which may cancel them after firing.
+	// Popped events are recycled once no reference can survive: arrivals and
+	// notices hand out no handles; end/warning events are recycled only if
+	// the handler cleared the job's handle (it does, except on a failing
+	// run). Timer events are never recycled — their handles live with the
+	// mechanism, which may cancel them after firing.
 	switch p := ev.Payload.(type) {
 	case evArrive:
 		e.handleArrive(p.j)
@@ -818,10 +917,6 @@ func (e *Engine) dispatch(ev *eventq.Event) {
 		e.q.Recycle(ev)
 	case evDrainEnd:
 		e.handleDrainEnd(p.d)
-		e.q.Recycle(ev)
-	case evSched:
-		e.schedPending = false
-		e.schedulePass()
 		e.q.Recycle(ev)
 	default:
 		e.fail("sim: unknown event payload %T", ev.Payload)
@@ -879,7 +974,7 @@ func (e *Engine) handleEnd(j *job.Job) {
 	freed := e.cl.Release(j.ID)
 	ent.running = false
 	e.removeRunning(j.ID)
-	freed.SubtractWith(e.restoreSquattedNodes(j.ID))
+	e.restoreSquattedNodes(j.ID, freed)
 	e.mech.OnJobCompleted(j, freed)
 	e.requestSchedule()
 	if e.cfg.ReleaseCompleted {
@@ -916,7 +1011,7 @@ func (e *Engine) handleWarnExpired(j *job.Job, claim int) {
 	freed := e.cl.Release(j.ID)
 	ent.running = false
 	e.removeRunning(j.ID)
-	freed.SubtractWith(e.restoreSquattedNodes(j.ID))
+	e.restoreSquattedNodes(j.ID, freed)
 	e.enqueue(j)
 	e.mech.OnWarningExpired(j, claim, freed)
 	e.requestSchedule()
@@ -941,9 +1036,12 @@ func (e *Engine) removeFromQueue(j *job.Job) {
 	ent.inQueue = false
 }
 
+// requestSchedule asks for a scheduler pass at the current instant, after
+// every other event at it. The pass takes the sequence number a pushed event
+// would, but stays out of the calendar: Step dispatches it from the flag.
 func (e *Engine) requestSchedule() {
 	if !e.schedPending {
-		e.q.Push(e.clk, eventq.PrioSchedule, evSched{})
+		e.schedSeq = e.q.TakeSeq()
 		e.schedPending = true
 	}
 }

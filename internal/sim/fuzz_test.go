@@ -2,11 +2,14 @@ package sim_test
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
+	"math"
 	"strings"
 	"testing"
 
 	"hybridsched/internal/checkpoint"
+	"hybridsched/internal/eventq"
 	"hybridsched/internal/faults"
 	"hybridsched/internal/job"
 	"hybridsched/internal/registry"
@@ -25,7 +28,7 @@ func fuzzEngine(t testing.TB) *sim.Engine {
 		job.NewMalleable(2, 0, 100, 32, 8, 7200, 7200, 0),
 		job.NewOnDemand(3, 0, 200, 8, 1800, 1800, 0, job.NoNotice, 200, 200),
 		job.NewRigid(4, 0, 4000, 48, 3600, 4000, 0, checkpoint.Plan{}),
-		job.NewOnDemand(5, 0, 5000, 24, 900, 900, 0, 600, 4400, 4400),
+		job.NewOnDemand(5, 0, 5000, 24, 900, 900, 0, job.ArriveLate, 4400, 4400),
 	}
 	mech, err := registry.NewScheduler("CUP&PAA", registry.SchedulerConfig{DirectedReturn: true})
 	if err != nil {
@@ -55,6 +58,9 @@ func FuzzLoadSnapshot(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
+	if err := fuzzEngine(f).LoadSnapshot(valid); err != nil {
+		f.Fatalf("the genuine seed frame does not load: %v", err)
+	}
 
 	f.Add(valid)
 	f.Add([]byte{})
@@ -64,6 +70,9 @@ func FuzzLoadSnapshot(f *testing.F) {
 		mut := bytes.Clone(valid)
 		mut[off] ^= 0x40 // magic, version, length, payload, CRC
 		f.Add(mut)
+	}
+	for _, c := range passCorruptions(f) {
+		f.Add(c.frame)
 	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -146,5 +155,96 @@ func TestLoadSnapshotRefusesReferenceFlag(t *testing.T) {
 	}
 	if _, err := e.Run(); err != nil {
 		t.Fatalf("rejected load corrupted the engine: %v", err)
+	}
+}
+
+// evTagSched is the frame tag of the scheduler-pass event.
+const evTagSched = 6
+
+// passCorruption is a re-framed (valid CRC) copy of a genuine frame whose
+// pending scheduler pass was moved where the engine cannot hold it.
+type passCorruption struct {
+	name, want string // want: a fragment of LoadSnapshot's error
+	frame      []byte
+}
+
+// passCorruptions steps the fuzz engine to a frame holding a scheduler pass
+// with the next event more than a second later, and returns four copies:
+// the pass a second after the restored clock, at PrioArrive instead of
+// PrioSchedule, behind the next event (moved onto the clock, where it
+// dispatches first), and with a sequence number above the counter. Frames
+// store every event as time (8 bytes), priority (1), seq (8) and tag (1),
+// then its payload; the pass has none, so the next event starts right after.
+func passCorruptions(t testing.TB) []passCorruption {
+	t.Helper()
+	e := fuzzEngine(t)
+	for step := 0; step < 400; step++ {
+		if _, err := e.Step(); err != nil {
+			t.Fatal(err)
+		}
+		if step < 40 {
+			continue
+		}
+		frame, err := e.Snapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		payload, _, err := snapshot.Unframe(frame)
+		if err != nil {
+			t.Fatal(err)
+		}
+		seq, ok := e.PendingPass()
+		if !ok {
+			continue
+		}
+		clk := e.Now()
+		entry := binary.LittleEndian.AppendUint64(nil, uint64(clk))
+		entry = append(entry, uint8(eventq.PrioSchedule))
+		entry = binary.LittleEndian.AppendUint64(entry, seq)
+		entry = append(entry, evTagSched)
+		i := bytes.Index(payload, entry)
+		if i < 0 || bytes.Count(payload, entry) != 1 {
+			t.Fatalf("step %d: the pending pass (t=%d, seq %d) is not in the frame exactly once", step, clk, seq)
+		}
+		if len(payload) < i+26 || int64(binary.LittleEndian.Uint64(payload[i+18:])) <= clk+1 {
+			continue
+		}
+		patch := func(name, want string, edit func(p []byte)) passCorruption {
+			p := bytes.Clone(payload)
+			edit(p)
+			return passCorruption{name, want, snapshot.Frame(sim.EngineSnapshotVersion, p)}
+		}
+		return []passCorruption{
+			patch("off the clock", fmt.Sprintf("scheduler pass at t=%d priority %d, not at the restored clock", clk+1, eventq.PrioSchedule),
+				func(p []byte) { binary.LittleEndian.PutUint64(p[i:], uint64(clk+1)) }),
+			patch("off its priority", fmt.Sprintf("scheduler pass at t=%d priority %d, not at the restored clock", clk, eventq.PrioArrive),
+				func(p []byte) { p[i+8] = uint8(eventq.PrioArrive) }),
+			patch("out of order", "not in dispatch order",
+				func(p []byte) { binary.LittleEndian.PutUint64(p[i+18:], uint64(clk)) }),
+			patch("seq above the counter", "not below counter",
+				func(p []byte) { binary.LittleEndian.PutUint64(p[i+9:], math.MaxUint64) }),
+		}
+	}
+	t.Fatal("no frame with a scheduler pass followed by a later event")
+	return nil
+}
+
+// TestLoadSnapshotRefusesMisplacedPass loads frames whose scheduler pass is
+// off the restored clock, off PrioSchedule, out of dispatch order, or
+// numbered at or above the sequence counter. The engine holds a pending pass
+// as a flag at the clock with the last priority, so each must be refused,
+// and the engine must still finish its own run.
+func TestLoadSnapshotRefusesMisplacedPass(t *testing.T) {
+	for _, c := range passCorruptions(t) {
+		t.Run(c.name, func(t *testing.T) {
+			e := fuzzEngine(t)
+			err := e.LoadSnapshot(c.frame)
+			if err == nil || !strings.Contains(err.Error(), c.want) {
+				t.Fatalf("LoadSnapshot: %v, want an error containing %q", err, c.want)
+			}
+			if _, err := e.Run(); err != nil {
+				t.Fatalf("rejected load corrupted the engine: %v", err)
+			}
+		})
 	}
 }

@@ -172,7 +172,9 @@ func (e *Engine) releaseList() []policy.Running {
 // reservations marked backfillable, recording squats for later eviction.
 func (e *Engine) startJob(j *job.Job, size int, allowSquat bool) {
 	need := size
-	need -= e.cl.AllocReserved(j.ID, j.ID, need).Len()
+	if e.cl.ReservedCount(j.ID) > 0 {
+		need -= e.cl.AllocReserved(j.ID, j.ID, need).Len()
+	}
 	if free := e.cl.FreeCount(); need > 0 && free > 0 {
 		take := need
 		if take > free {
@@ -207,7 +209,9 @@ func (e *Engine) startJob(j *job.Job, size int, allowSquat bool) {
 		return
 	}
 	// Any leftover private reservation dissolves once the job runs.
-	e.cl.UnreserveAll(j.ID)
+	if e.cl.ReservedCount(j.ID) > 0 {
+		e.cl.UnreserveAll(j.ID)
+	}
 
 	e.removeFromQueue(j)
 	var end int64
@@ -268,7 +272,7 @@ func (e *Engine) PreemptRigid(j *job.Job) *nodeset.Set {
 	freed := e.cl.Release(j.ID)
 	ent.running = false
 	e.removeRunning(j.ID)
-	freed.SubtractWith(e.restoreSquattedNodes(j.ID))
+	e.restoreSquattedNodes(j.ID, freed)
 	e.enqueue(j)
 	return freed
 }
@@ -296,7 +300,7 @@ func (e *Engine) PreemptMalleableNow(j *job.Job) *nodeset.Set {
 	freed := e.cl.Release(j.ID)
 	ent.running = false
 	e.removeRunning(j.ID)
-	freed.SubtractWith(e.restoreSquattedNodes(j.ID))
+	e.restoreSquattedNodes(j.ID, freed)
 	e.enqueue(j)
 	return freed
 }
@@ -517,14 +521,13 @@ func (e *Engine) EvictSquatters(claim int) {
 
 // restoreSquattedNodes returns a finished/preempted squatter's reserved-pool
 // nodes to the claims that own them (if the claims are still live), drops
-// the squat records, and returns the set of nodes that went back into
-// reservations (callers must subtract it from any freed set they report to
-// the mechanism, since those nodes are no longer free).
-func (e *Engine) restoreSquattedNodes(jobID int) *nodeset.Set {
-	reclaimed := &nodeset.Set{}
+// the squat records, and subtracts the nodes that went back into
+// reservations from freed, the set the caller reports to the mechanism,
+// since those nodes are no longer free.
+func (e *Engine) restoreSquattedNodes(jobID int, freed *nodeset.Set) {
 	sqs, ok := e.squats[jobID]
 	if !ok {
-		return reclaimed
+		return
 	}
 	delete(e.squats, jobID)
 	for _, s := range sqs {
@@ -536,8 +539,7 @@ func (e *Engine) restoreSquattedNodes(jobID int) *nodeset.Set {
 			// Nodes were released to the free pool by the caller; move them
 			// back into the claim's reservation.
 			e.cl.ReserveExact(s.claim, s.nodes)
-			reclaimed.UnionWith(s.nodes)
+			freed.SubtractWith(s.nodes)
 		}
 	}
-	return reclaimed
 }

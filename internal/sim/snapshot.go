@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"slices"
 
 	"hybridsched/internal/cluster"
 	"hybridsched/internal/eventq"
@@ -129,16 +130,36 @@ func (e *Engine) Snapshot() ([]byte, error) {
 	e.cl.EncodeSnapshot(&enc)
 	e.met.EncodeSnapshot(&enc)
 
+	// Every pending event in dispatch order: the calendar's events, the
+	// primed cursor's undispatched arrivals and notices, and the requested
+	// scheduler pass, merged under the one (Time, Prio, Seq) order, so a
+	// frame reads the same whichever source an event waits in.
+	cal := e.q.Ordered()
+	events := make([]pendingEvent, 0, len(cal)+len(e.primedEvs)-e.nextPrimed+1)
+	for _, ev := range cal {
+		events = append(events, pendingEvent{ev.Key(), ev.Payload})
+	}
+	for _, pe := range e.primedEvs[e.nextPrimed:] {
+		if pe.key.Prio == eventq.PrioNotice {
+			events = append(events, pendingEvent{pe.key, evNotice{pe.j}})
+		} else {
+			events = append(events, pendingEvent{pe.key, evArrive{pe.j}})
+		}
+	}
+	if e.schedPending {
+		events = append(events, pendingEvent{eventq.Key{Time: e.clk, Prio: eventq.PrioSchedule, Seq: e.schedSeq}, evSched{}})
+	}
+	slices.SortFunc(events, func(a, b pendingEvent) int { return a.key.Compare(b.key) })
+
 	// Drain windows. Payload pointers are shared between the open-window list
 	// and the pending start/end events, so windows serialize once into an
 	// indexed table (first-reference order over the queue in dispatch order)
 	// and everything else refers to table positions.
-	events := e.q.Ordered()
 	drainIdx := make(map[*drainWindow]int)
 	var drainTab []*drainWindow
 	for _, ev := range events {
 		var d *drainWindow
-		switch p := ev.Payload.(type) {
+		switch p := ev.payload.(type) {
 		case evDrainStart:
 			d = p.d
 		case evDrainEnd:
@@ -200,10 +221,10 @@ func (e *Engine) Snapshot() ([]byte, error) {
 	enc.U64(e.q.SeqCounter())
 	enc.U32(uint32(len(events)))
 	for _, ev := range events {
-		enc.I64(ev.Time)
-		enc.U8(uint8(ev.Prio))
-		enc.U64(ev.Seq())
-		switch p := ev.Payload.(type) {
+		enc.I64(ev.key.Time)
+		enc.U8(uint8(ev.key.Prio))
+		enc.U64(ev.key.Seq)
+		switch p := ev.payload.(type) {
 		case evArrive:
 			enc.U8(evTagArrive)
 			enc.Int(p.j.ID)
@@ -238,7 +259,7 @@ func (e *Engine) Snapshot() ([]byte, error) {
 			enc.U8(evTagDrainEnd)
 			enc.Int(drainIdx[p.d])
 		default:
-			return nil, fmt.Errorf("sim: unserializable event payload %T", ev.Payload)
+			return nil, fmt.Errorf("sim: unserializable event payload %T", ev.payload)
 		}
 	}
 
@@ -248,6 +269,12 @@ func (e *Engine) Snapshot() ([]byte, error) {
 	}
 
 	return snapshot.Frame(EngineSnapshotVersion, enc.Bytes()), nil
+}
+
+// pendingEvent is one entry of a frame's event list.
+type pendingEvent struct {
+	key     eventq.Key
+	payload any
 }
 
 // LoadSnapshot restores state captured by Snapshot into e. The engine must
@@ -446,8 +473,9 @@ func (e *Engine) LoadSnapshot(data []byte) error {
 	rc := &RestoreContext{jobs: byID, events: make(map[uint64]*eventq.Event, nev)}
 	endEv := make(map[int]*eventq.Event)
 	warnEv := make(map[int]*eventq.Event)
-	var prev *eventq.Event
+	var prev eventq.Key
 	schedSeen := false
+	var schedSeq uint64
 	for i := 0; i < nev; i++ {
 		t := d.I64()
 		prio := eventq.Priority(d.U8())
@@ -462,7 +490,12 @@ func (e *Engine) LoadSnapshot(data []byte) error {
 		if t < clk {
 			return d.Failf("event %d: time %d before the restored clock %d", i, t, clk)
 		}
-		if _, dup := rc.events[seq]; dup {
+		key := eventq.Key{Time: t, Prio: prio, Seq: seq}
+		if i > 0 && !prev.Before(key) {
+			return d.Failf("event %d: queue not in dispatch order", i)
+		}
+		prev = key
+		if _, dup := rc.events[seq]; dup || schedSeen && seq == schedSeq {
 			return d.Failf("event %d: duplicate sequence number %d", i, seq)
 		}
 		var payload any
@@ -490,11 +523,20 @@ func (e *Engine) LoadSnapshot(data []byte) error {
 			}
 			payload = evTimer{payload: p}
 		case evTagSched:
+			// The engine keeps the pass as a flag at the clock, after every
+			// other event there; a pass anywhere else has no representation.
 			if schedSeen {
 				return d.Failf("event %d: duplicate scheduler pass", i)
 			}
-			schedSeen = true
-			payload = evSched{}
+			if t != clk || prio != eventq.PrioSchedule {
+				return d.Failf("event %d: scheduler pass at t=%d priority %d, not at the restored clock %d with priority %d",
+					i, t, prio, clk, eventq.PrioSchedule)
+			}
+			if seq >= seqCounter {
+				return d.Failf("event %d: scheduler pass seq %d not below counter %d", i, seq, seqCounter)
+			}
+			schedSeen, schedSeq = true, seq
+			continue
 		case evTagNodeDown:
 			node := d.Int()
 			after := d.I64()
@@ -527,14 +569,12 @@ func (e *Engine) LoadSnapshot(data []byte) error {
 		if d.Err() != nil {
 			return d.Err()
 		}
+		// Pending arrivals and notices join the calendar: the primed cursor
+		// is an optimisation of a fresh run, and one order merges both.
 		ev, err := q.PushRestored(t, prio, payload, seq)
 		if err != nil {
 			return d.Fail(err)
 		}
-		if prev != nil && !eventOrderBefore(prev, ev) {
-			return d.Failf("event %d: queue not in dispatch order", i)
-		}
-		prev = ev
 		rc.events[seq] = ev
 		switch p := payload.(type) {
 		case evEnd:
@@ -590,6 +630,8 @@ func (e *Engine) LoadSnapshot(data []byte) error {
 	e.dispatched = dispatched
 	e.primed = primed
 	e.schedPending = schedPending
+	e.schedSeq = schedSeq
+	e.primedEvs, e.nextPrimed = nil, 0
 	e.queue.Load(queue)
 	e.running = running
 	e.cl = cl
@@ -619,18 +661,6 @@ func (e *Engine) LoadSnapshot(data []byte) error {
 // still scheduled. Fired and cancelled timers report false; mechanisms use it
 // to serialize only live handles.
 func (e *Engine) TimerPending(ev *eventq.Event) bool { return e.q.Contains(ev) }
-
-// eventOrderBefore reports dispatch order between two events (exposed via the
-// eventq package's ordering rule).
-func eventOrderBefore(a, b *eventq.Event) bool {
-	if a.Time != b.Time {
-		return a.Time < b.Time
-	}
-	if a.Prio != b.Prio {
-		return a.Prio < b.Prio
-	}
-	return a.Seq() < b.Seq()
-}
 
 // sortedKeysBool returns the keys of m whose value is true, ascending.
 func sortedKeysBool(m map[int]bool) []int {
