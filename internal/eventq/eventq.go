@@ -146,11 +146,10 @@ func (q *Queue) Push(t int64, p Priority, payload any) *Event {
 		e = q.pool[n-1]
 		q.pool[n-1] = nil
 		q.pool = q.pool[:n-1]
-		*e = Event{Time: t, Prio: p, Payload: payload, seq: q.seq}
+		*e = Event{Time: t, Prio: p, Payload: payload, seq: q.TakeSeq()}
 	} else {
-		e = &Event{Time: t, Prio: p, Payload: payload, seq: q.seq}
+		e = &Event{Time: t, Prio: p, Payload: payload, seq: q.TakeSeq()}
 	}
-	q.seq++
 	q.insert(e)
 	return e
 }
