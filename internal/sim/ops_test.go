@@ -203,6 +203,18 @@ func TestSquatLifecycle(t *testing.T) {
 	if err := e.Cluster().CheckInvariant(); err != nil {
 		t.Fatal(err)
 	}
+
+	// Preempted again, the squatter reports as freed only the nodes it took
+	// from the free pool: the squatted ones went back to the claim.
+	e.startJob(sq, 50, true)
+	freed := e.PreemptRigid(sq)
+	if freed.Len() != 20 || freed.Intersects(e.Cluster().ReservedSet(50)) {
+		t.Fatalf("freed %d nodes (overlapping claim 50: %v), want the 20 free-pool nodes only",
+			freed.Len(), freed.Intersects(e.Cluster().ReservedSet(50)))
+	}
+	if err := e.Cluster().CheckInvariant(); err != nil {
+		t.Fatal(err)
+	}
 }
 
 func TestDropClaimSquats(t *testing.T) {
