@@ -5,8 +5,10 @@
 // engine to a plan computed from scratch, and assert structural invariants —
 // no node double-allocation, conservation of nodes across loans and returns,
 // monotone virtual time — over the typed event stream of a run. Further
-// suites pin replay determinism, byte-identical snapshot/restore, and that
-// validation itself changes no output.
+// suites pin replay determinism, byte-identical snapshot/restore, that
+// validation itself changes no output, and, through a committed digest of
+// frames, event streams and reports, that a build changes no output of the
+// builds before it.
 //
 // The harness exists so hot-path refactors of internal/sim stay safe: any
 // divergence between the allocation-lean structures and the plan they must
