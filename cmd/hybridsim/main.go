@@ -56,7 +56,7 @@ func main() {
 		seeds     = flag.Int("seeds", 1, "seeds per mechanism when generating (sweep mode)")
 		weeks     = flag.Int("weeks", 4, "workload weeks when generating")
 		mixName   = flag.String("mix", "W5", "notice mix W1..W5 when generating")
-		ckptMult  = flag.Float64("ckpt", 1.0, "checkpoint interval multiplier (0.5 = twice as frequent)")
+		ckptMult  = flag.Float64("ckpt", 1.0, "checkpoint interval multiplier around the Daly optimum (0.5 = twice as frequent; 0 or less = no checkpointing)")
 		bfres     = flag.Bool("backfill-reserved", false, "backfill jobs onto reserved nodes (evicted on arrival)")
 		noReturn  = flag.Bool("no-directed-return", false, "drop returned lease nodes into the common pool")
 		mtbf      = flag.Duration("mtbf", 0, "inject node failures at this system MTBF, e.g. 6h (0 = no injection; also drives the Daly checkpoint plans)")
@@ -111,6 +111,11 @@ func main() {
 	}
 	if *repair > 0 && *mtbf == 0 {
 		fatalUsage(fmt.Errorf("-repair requires -mtbf (no failures to repair)"))
+	}
+	if *ckptMult <= 0 {
+		// SimulationConfig reads a zero multiplier as "use the default";
+		// a negative one is its explicit zero.
+		*ckptMult = -1
 	}
 	drains, err := hybridsched.ParseDrains(*drain)
 	if err != nil {

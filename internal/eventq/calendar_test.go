@@ -5,7 +5,7 @@ import (
 	"testing"
 )
 
-// refQueue is the oracle the calendar queue is pinned to: an unsorted slice
+// refQueue is the oracle the heap queue is pinned to: an unsorted slice
 // scanned for the earliest event under before. It numbers pushes exactly as
 // Queue does, so one operation program must dispatch the same
 // (Time, Prio, seq) stream from both.
@@ -55,19 +55,19 @@ func drainAll(t *testing.T, cal *Queue, ref *refQueue) {
 	for {
 		a, b := cal.Pop(), ref.Pop()
 		if (a == nil) != (b == nil) {
-			t.Fatalf("length divergence: calendar=%v reference=%v", a != nil, b != nil)
+			t.Fatalf("length divergence: queue=%v reference=%v", a != nil, b != nil)
 		}
 		if a == nil {
 			return
 		}
 		if a.Time != b.Time || a.Prio != b.Prio || a.seq != b.seq {
-			t.Fatalf("dispatch divergence: calendar (t=%d p=%d seq=%d) vs reference (t=%d p=%d seq=%d)",
+			t.Fatalf("dispatch divergence: queue (t=%d p=%d seq=%d) vs reference (t=%d p=%d seq=%d)",
 				a.Time, a.Prio, a.seq, b.Time, b.Prio, b.seq)
 		}
 	}
 }
 
-// TestCalendarMatchesHeapRandom drives the calendar and reference queues
+// TestCalendarMatchesHeapRandom drives the heap and reference queues
 // through identical randomized Push/Pop/Cancel/Recycle interleavings and
 // requires identical dispatch order throughout.
 func TestCalendarMatchesHeapRandom(t *testing.T) {
@@ -75,7 +75,6 @@ func TestCalendarMatchesHeapRandom(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		var cal Queue
 		var ref refQueue
-		cal.EnablePooling()
 		type pair struct{ c, r *Event }
 		var livePairs []pair
 		clock := int64(0)
@@ -154,8 +153,7 @@ func TestCalendarOrderedMatchesHeap(t *testing.T) {
 	}
 }
 
-// TestCalendarNegativeTimes exercises the floor-division bucket mapping on
-// negative timestamps.
+// TestCalendarNegativeTimes checks the dispatch order of negative timestamps.
 func TestCalendarNegativeTimes(t *testing.T) {
 	var q Queue
 	times := []int64{-100, -1, 0, 1, -50, 30, -7}
@@ -171,8 +169,7 @@ func TestCalendarNegativeTimes(t *testing.T) {
 	}
 }
 
-// TestCalendarSparseTail verifies that huge forward gaps (the direct-search
-// fallback) dispatch correctly and cheaply enough to terminate.
+// TestCalendarSparseTail verifies that huge forward gaps dispatch in order.
 func TestCalendarSparseTail(t *testing.T) {
 	var q Queue
 	for i := 0; i < 64; i++ {
@@ -196,7 +193,8 @@ func TestCalendarSparseTail(t *testing.T) {
 	}
 }
 
-// TestCalendarContainsAndCancel checks handle identity across bucket resizes.
+// TestCalendarContainsAndCancel checks handle identity as the heap grows and
+// shrinks.
 func TestCalendarContainsAndCancel(t *testing.T) {
 	var q Queue
 	var hs []*Event
@@ -205,7 +203,7 @@ func TestCalendarContainsAndCancel(t *testing.T) {
 	}
 	for i, h := range hs {
 		if !q.Contains(h) {
-			t.Fatalf("handle %d not found after resizes", i)
+			t.Fatalf("handle %d not found", i)
 		}
 	}
 	for i, h := range hs {
@@ -228,17 +226,87 @@ func TestCalendarContainsAndCancel(t *testing.T) {
 	}
 }
 
+// TestStaleHandlesAfterRefill keeps the handles of one popped and one
+// cancelled event while pushes refill every heap position the two held, then
+// calls Cancel, Contains and Recycle through both. A stale handle must touch
+// nothing: the length, the membership of every live event and the dispatch
+// order stay exactly as the reference queue has them.
+func TestStaleHandlesAfterRefill(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	var q Queue
+	var ref refQueue
+	type pair struct{ c, r *Event }
+	var live []pair
+	push := func() {
+		tm, p := int64(rng.Intn(100)), Priority(rng.Intn(7))
+		live = append(live, pair{q.Push(tm, p, nil), ref.Push(tm, p)})
+	}
+	drop := func(c *Event) {
+		for i, pr := range live {
+			if pr.c == c {
+				live = append(live[:i], live[i+1:]...)
+				return
+			}
+		}
+		t.Fatalf("handle seq %d not live", c.seq)
+	}
+	check := func(stage string) {
+		t.Helper()
+		if q.Len() != ref.Len() {
+			t.Fatalf("%s: Len %d, reference %d", stage, q.Len(), ref.Len())
+		}
+		for _, pr := range live {
+			if !q.Contains(pr.c) {
+				t.Fatalf("%s: live event seq %d not contained", stage, pr.c.seq)
+			}
+		}
+	}
+
+	const n = 64
+	for q.Len() < n {
+		push()
+	}
+	popped := q.Pop()
+	ref.Pop()
+	drop(popped)
+	victim := live[len(live)/2]
+	q.Cancel(victim.c)
+	ref.Cancel(victim.r)
+	drop(victim.c)
+	for q.Len() < n {
+		push()
+	}
+	check("refilled")
+
+	stale := []*Event{popped, victim.c}
+	for _, h := range stale {
+		q.Cancel(h)
+		if q.Contains(h) {
+			t.Fatalf("stale handle seq %d reported contained", h.seq)
+		}
+	}
+	check("after stale Cancel")
+	for _, h := range stale {
+		q.Recycle(h)
+	}
+	check("after stale Recycle")
+	for i := 0; i < 4; i++ {
+		push() // reuses the recycled events
+	}
+	check("after reuse")
+	drainAll(t, &q, &ref)
+}
+
 // FuzzQueueEquivalence feeds interleaved Push/Pop/Cancel/Recycle programs to
-// the calendar and reference queues and requires dispatch-order equivalence —
-// the calendar queue is pinned to the reference under arbitrary operation
-// mixes, not just the simulator's.
+// the heap and reference queues and requires dispatch-order equivalence —
+// the heap queue is pinned to the reference under arbitrary operation mixes,
+// not just the simulator's.
 func FuzzQueueEquivalence(f *testing.F) {
 	f.Add([]byte{0, 1, 2, 3, 4, 5, 250, 251, 7, 8})
 	f.Add([]byte{10, 10, 10, 128, 128, 200, 200, 1, 2, 3, 4, 5, 6})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var cal Queue
 		var ref refQueue
-		cal.EnablePooling()
 		type pair struct{ c, r *Event }
 		var live []pair
 		base := int64(0)
@@ -249,7 +317,7 @@ func FuzzQueueEquivalence(f *testing.F) {
 				tm := base + arg
 				p := Priority(op % 7)
 				live = append(live, pair{cal.Push(tm, p, i), ref.Push(tm, p)})
-			case 1: // push far ahead (exercise sparse windows / resize)
+			case 1: // push far ahead
 				tm := base + arg*arg*37
 				p := Priority(op % 7)
 				live = append(live, pair{cal.Push(tm, p, i), ref.Push(tm, p)})

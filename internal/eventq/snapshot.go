@@ -2,7 +2,7 @@ package eventq
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // Seq returns the event's push-order sequence number. Snapshots persist it so
@@ -13,21 +13,13 @@ func (e *Event) Seq() uint64 { return e.seq }
 // SeqCounter returns the next sequence number the queue would assign.
 func (q *Queue) SeqCounter() uint64 { return q.seq }
 
-// live appends every live event to out, in no particular order.
-func (q *Queue) live(out []*Event) []*Event {
-	for _, bk := range q.buckets {
-		out = append(out, bk...)
-	}
-	return out
-}
-
 // Ordered returns every live event in dispatch order — the exact order Pop
 // would deliver them — without disturbing the queue. Cancelled events are
 // removed eagerly, so the result is precisely the pending event set; it is
 // the canonical iteration for serializing queue contents.
 func (q *Queue) Ordered() []*Event {
-	out := q.live(make([]*Event, 0, q.Len()))
-	sort.Slice(out, func(i, j int) bool { return before(out[i], out[j]) })
+	out := slices.Clone(q.heap)
+	slices.SortFunc(out, func(a, b *Event) int { return a.Key().Compare(b.Key()) })
 	return out
 }
 
@@ -58,7 +50,7 @@ func (q *Queue) Contains(e *Event) bool {
 // continue the original numbering. It fails if n would move the counter
 // backwards past a live event.
 func (q *Queue) SetSeqCounter(n uint64) error {
-	for _, ev := range q.live(nil) {
+	for _, ev := range q.heap {
 		if ev.seq >= n {
 			return fmt.Errorf("eventq: counter %d not above live seq %d", n, ev.seq)
 		}

@@ -49,10 +49,7 @@ func AblationBackfillReserved(o Options) (AblationResult, error) {
 		}
 		o.logf("ablation bfres: %s", name)
 		specs = append(specs, o.cellSpecs("ablation-bfres", name, "CUA&SPAA", workload.W2,
-			func(sp *runner.Spec) {
-				sp.Core.BackfillReserved = on
-				sp.BackfillReserved = on
-			})...)
+			func(sp *runner.Spec) { sp.Core.BackfillReserved = on })...)
 	}
 	cells, err := o.runGrid(specs)
 	if err != nil {

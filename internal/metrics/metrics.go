@@ -11,6 +11,7 @@
 package metrics
 
 import (
+	"slices"
 	"time"
 
 	"hybridsched/internal/job"
@@ -234,6 +235,15 @@ func addUsage(a, b job.Usage) job.Usage {
 // not merged.
 func (c *Collector) EnableStreaming() { c.streaming = true }
 
+// Reserve sizes the results slice for n more completions, so a run whose job
+// count is known up front records them without regrowing it. Streaming
+// collectors keep no results and ignore it.
+func (c *Collector) Reserve(n int) {
+	if !c.streaming {
+		c.results = slices.Grow(c.results, n)
+	}
+}
+
 // NoteComplete records a completed job and extends the observation window.
 func (c *Collector) NoteComplete(j *job.Job) {
 	if c.streaming {
@@ -443,14 +453,13 @@ func (c *Collector) Report() Report {
 		return r
 	}
 
-	turn := make([]float64, 0, len(c.results))
-	var turnR, turnO, turnM []float64
+	// Each class sample is sorted once; the all-jobs sample is their merge.
+	var turnR, turnO, turnM, turnX []float64
 	var preR, preM, preO, preAll int
 	var odInstant, odStrict, odCount int
 	var delaySum float64
 	for _, res := range c.results {
 		t := float64(res.Turnaround)
-		turn = append(turn, t)
 		switch res.Class {
 		case job.Rigid:
 			turnR = append(turnR, t)
@@ -475,12 +484,17 @@ func (c *Collector) Report() Report {
 			if res.PreemptCount > 0 {
 				preM++
 			}
+		default: // no class of its own, but counted in All
+			turnX = append(turnX, t)
 		}
 		if res.PreemptCount > 0 {
 			preAll++
 		}
 	}
-	r.All = classStats(turn, preAll)
+	for _, turn := range [][]float64{turnR, turnO, turnM, turnX} {
+		slices.Sort(turn)
+	}
+	r.All = classStats(mergeSorted(turnR, turnO, turnM, turnX), preAll)
 	r.Rigid = classStats(turnR, preR)
 	r.OnDemand = classStats(turnO, preO)
 	r.Malleable = classStats(turnM, preM)
@@ -519,12 +533,33 @@ func (c *Collector) finishReport(r *Report) {
 	r.MaxDecisionMs = float64(c.maxDecNS) / 1e6
 }
 
+// classStats summarizes one class's turnaround sample, which must be sorted.
 func classStats(turn []float64, preempted int) ClassStats {
 	cs := ClassStats{Count: len(turn), PreemptedJobs: preempted}
-	cs.Turnaround = stats.Summarize(turn)
+	cs.Turnaround = stats.SummarizeSorted(turn)
 	if cs.Count > 0 {
 		cs.PreemptRatio = float64(preempted) / float64(cs.Count)
 		cs.MeanTurnaroundH = cs.Turnaround.Mean / float64(simtime.Hour)
 	}
 	return cs
+}
+
+// mergeSorted merges ascending samples into one ascending sample.
+func mergeSorted(samples ...[]float64) []float64 {
+	n := 0
+	for _, s := range samples {
+		n += len(s)
+	}
+	out := make([]float64, 0, n)
+	for len(out) < n {
+		m := -1
+		for i, s := range samples {
+			if len(s) > 0 && (m < 0 || s[0] < samples[m][0]) {
+				m = i
+			}
+		}
+		out = append(out, samples[m][0])
+		samples[m] = samples[m][1:]
+	}
+	return out
 }

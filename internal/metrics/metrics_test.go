@@ -3,11 +3,13 @@ package metrics
 import (
 	"bytes"
 	"encoding/json"
+	"math/rand"
 	"testing"
 	"time"
 
 	"hybridsched/internal/checkpoint"
 	"hybridsched/internal/job"
+	"hybridsched/internal/stats"
 )
 
 // completeJob fabricates a completed rigid/od/malleable job for the collector.
@@ -111,6 +113,33 @@ func TestPerClassStatsAndPreemptRatios(t *testing.T) {
 	}
 	if r.All.Count != 4 {
 		t.Fatalf("all count %d", r.All.Count)
+	}
+}
+
+// TestAllSummaryMatchesWholeSample: the all-jobs summary, merged from the
+// sorted class samples, equals a summary of the whole sample bit for bit,
+// including a job whose class has no sample of its own.
+func TestAllSummaryMatchesWholeSample(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	c := NewCollector(100)
+	c.NoteSubmit(0)
+	var turn []float64
+	for id := 1; id <= 300; id++ {
+		class := job.Class(rng.Intn(3))
+		end := int64(1 + rng.Intn(50_000))
+		j := completeJob(id, class, 0, 0, end, 4, rng.Intn(2))
+		if id == 300 {
+			j.Class = job.Malleable + 1
+		}
+		c.NoteComplete(j)
+		turn = append(turn, float64(j.Turnaround()))
+	}
+	r := c.Report()
+	if want := stats.Summarize(turn); r.All.Turnaround != want {
+		t.Fatalf("All turnaround %+v, whole-sample summary %+v", r.All.Turnaround, want)
+	}
+	if n := r.Rigid.Count + r.OnDemand.Count + r.Malleable.Count; n != 299 {
+		t.Fatalf("class counts sum to %d, want 299", n)
 	}
 }
 

@@ -81,6 +81,8 @@ type Spec struct {
 
 	// Core configures the mechanism (release threshold, directed return,
 	// backfill-reserved). Zero value means core.DefaultConfig().
+	// Core.BackfillReserved also lets the engine backfill onto reserved
+	// nodes (§III-B.1), so one switch turns the option on in both.
 	Core core.Config `json:"-"`
 
 	// MTBF is the system mean time between failures in seconds, driving the
@@ -89,8 +91,6 @@ type Spec struct {
 	// CkptFreqMult scales the checkpoint interval around the Daly optimum
 	// (Fig. 7); default 1.0.
 	CkptFreqMult float64 `json:"-"`
-	// BackfillReserved lets backfill jobs squat on reserved nodes (§III-B.1).
-	BackfillReserved bool `json:"-"`
 	// Validate checks the cluster partition invariant after every event and
 	// every scheduler pass against a plan computed from scratch (see
 	// sim.Config.Validate).
@@ -420,7 +420,7 @@ func buildCell(s Spec, recs []trace.Record) (Spec, *sim.Engine, error) {
 	engine, err := sim.New(sim.Config{
 		Nodes:            s.Nodes,
 		Policy:           ord,
-		BackfillReserved: s.BackfillReserved,
+		BackfillReserved: s.Core.BackfillReserved,
 		Validate:         s.Validate,
 		MaxSimTime:       s.MaxSimTime,
 	}, jobs, mech)

@@ -6,6 +6,8 @@ import (
 	"sync"
 	"testing"
 
+	"hybridsched/internal/core"
+	"hybridsched/internal/simtest"
 	"hybridsched/internal/simtime"
 	"hybridsched/internal/trace"
 	"hybridsched/internal/workload"
@@ -403,5 +405,48 @@ func TestSourceCellFaultHorizonCoversTrace(t *testing.T) {
 	}
 	if res.Report.FailuresInjected == 0 {
 		t.Fatal("no failures struck over the source replay")
+	}
+}
+
+// TestBackfillReservedFromCore: Core.BackfillReserved alone turns squatting
+// on in both the mechanism and the engine, so the cell reports what a direct
+// simulation with BackfillReserved on reports — and not what the off cell
+// does.
+func TestBackfillReservedFromCore(t *testing.T) {
+	sc := simtest.Scenario{Mechanism: "CUA&SPAA", Mix: "W2", Seed: 1, Nodes: 1024, Weeks: 2, Policy: "fcfs"}
+	mix, err := workload.MixByName(sc.Mix)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cell := func(on bool) []byte {
+		t.Helper()
+		spec := Spec{Mechanism: sc.Mechanism, Nodes: sc.Nodes, Core: core.DefaultConfig(),
+			Workload: workload.Config{Seed: sc.Seed, Nodes: sc.Nodes, Weeks: sc.Weeks, Mix: mix}}
+		spec.Core.BackfillReserved = on
+		sweep := Run([]Spec{spec}, Options{Workers: 1})
+		if err := sweep.Err(); err != nil {
+			t.Fatal(err)
+		}
+		js, err := simtest.ReportJSON(sweep.Results[0].Report)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return js
+	}
+	sc.BackfillReserved = true
+	rep, err := simtest.Run(sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := simtest.ReportJSON(rep)
+	if err != nil {
+		t.Fatal(err)
+	}
+	on, off := cell(true), cell(false)
+	if bytes.Equal(want, off) {
+		t.Fatal("scenario too small: BackfillReserved on and off report alike")
+	}
+	if !bytes.Equal(on, want) {
+		t.Fatalf("Core.BackfillReserved cell:\n%s\nsimulation with BackfillReserved on:\n%s", on, want)
 	}
 }

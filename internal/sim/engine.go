@@ -229,7 +229,7 @@ type Event struct {
 
 // primedEvent is the arrival (Prio PrioArrive) or advance notice (PrioNotice)
 // of a job registered before the first Step. These wait in the engine's
-// sorted cursor, not in the calendar; see prime.
+// sorted cursor, not in the event queue; see prime.
 type primedEvent struct {
 	key eventq.Key
 	j   *job.Job
@@ -271,7 +271,7 @@ type Engine struct {
 	clk  int64
 
 	// Pending events come from three sources, dispatched in one
-	// (Time, Prio, Seq) order (see peek): the calendar q holds in-flight
+	// (Time, Prio, Seq) order (see peek): the event queue q holds in-flight
 	// events and live submissions; primedEvs holds the arrivals and notices
 	// of the jobs known at prime, sorted once, with nextPrimed the earliest
 	// not yet dispatched; and a requested scheduler pass is schedPending
@@ -366,7 +366,6 @@ func New(cfg Config, jobs []*job.Job, mech Mechanism) (*Engine, error) {
 	if cfg.ReleaseCompleted {
 		e.met.EnableStreaming()
 	}
-	e.q.EnablePooling()
 	for _, j := range jobs {
 		if j.Size > cfg.Nodes {
 			return nil, fmt.Errorf("sim: job %d size %d exceeds system %d", j.ID, j.Size, cfg.Nodes)
@@ -590,11 +589,12 @@ func (e *Engine) emit(t EventType, j *job.Job, nodes int) {
 }
 
 // prime schedules the arrival (and notice) events of every job registered
-// before the first Step and opens the metrics observation window at the
-// earliest submission. It runs exactly once, lazily. The events never enter
-// the calendar: each takes the sequence number a push would have given it,
-// in registration order, and the lot is sorted once into the primed cursor,
-// which Step merges with the calendar under the same order.
+// before the first Step, opens the metrics observation window at the
+// earliest submission and sizes the collector's results for those jobs. It
+// runs exactly once, lazily. The events never enter the event queue: each
+// takes the sequence number a push would have given it, in registration
+// order, and the lot is sorted once into the primed cursor, which Step
+// merges with the queue under the same order.
 func (e *Engine) prime() {
 	if e.primed {
 		return
@@ -623,6 +623,7 @@ func (e *Engine) prime() {
 	slices.SortFunc(evs, func(a, b primedEvent) int { return a.key.Compare(b.key) })
 	e.primedEvs, e.nextPrimed = evs, 0
 	e.met.NoteSubmit(minSubmit)
+	e.met.Reserve(len(e.jobs))
 	if e.cfg.ReleaseCompleted {
 		// Every primed job now lives in the cursor and the index; the
 		// registration list would otherwise pin all of them forever.
@@ -640,7 +641,7 @@ func hasNotice(j *job.Job) bool {
 }
 
 // pushArrival schedules a live submission's arrival and (for noticed
-// on-demand jobs) its advance-notice event in the calendar. A notice instant
+// on-demand jobs) its advance-notice event in the queue. A notice instant
 // already in the past fires immediately instead of violating clock
 // monotonicity.
 func (e *Engine) pushArrival(j *job.Job) {
@@ -653,7 +654,7 @@ func (e *Engine) pushArrival(j *job.Job) {
 // Submit registers an additional job with the engine. Before the first Step
 // the job simply joins the initial trace, whose arrivals prime sorts into
 // the primed cursor; after that it is injected into the live event stream
-// through the calendar, so its submission time must not lie in the past.
+// through the event queue, so its submission time must not lie in the past.
 // Job IDs must be unique and sizes must fit the system.
 func (e *Engine) Submit(j *job.Job) error {
 	if j == nil {
@@ -688,15 +689,15 @@ func (e *Engine) Submit(j *job.Job) error {
 type eventSource int8
 
 const (
-	fromNone     eventSource = iota // nothing pending
-	fromPass                        // the requested scheduler pass
-	fromPrimed                      // the primed cursor's head
-	fromCalendar                    // the calendar's minimum
+	fromNone   eventSource = iota // nothing pending
+	fromPass                      // the requested scheduler pass
+	fromPrimed                    // the primed cursor's head
+	fromQueue                     // the event queue's minimum
 )
 
 // peek locates the earliest pending event across the engine's three sources
-// — the requested scheduler pass, the primed cursor and the calendar — under
-// the one (Time, Prio, Seq) dispatch order, and returns its key.
+// — the requested scheduler pass, the primed cursor and the event queue —
+// under the one (Time, Prio, Seq) dispatch order, and returns its key.
 func (e *Engine) peek() (eventq.Key, eventSource) {
 	var k eventq.Key
 	src := fromNone
@@ -710,7 +711,7 @@ func (e *Engine) peek() (eventq.Key, eventSource) {
 	}
 	if ev := e.q.Peek(); ev != nil {
 		if ck := ev.Key(); src == fromNone || ck.Before(k) {
-			k, src = ck, fromCalendar
+			k, src = ck, fromQueue
 		}
 	}
 	return k, src
@@ -718,7 +719,7 @@ func (e *Engine) peek() (eventq.Key, eventSource) {
 
 // Step processes the next pending event: the earliest, in (Time, Prio, Seq)
 // order, of the requested scheduler pass, the primed arrivals and notices,
-// and the calendar. It returns false when nothing is left to do: every
+// and the event queue. It returns false when nothing is left to do: every
 // submitted job has completed (more jobs may still be Submitted afterwards
 // to continue the run). Nothing pending with incomplete jobs is a stall: the
 // engine first tries to dissolve reservation hold deadlocks, then reports an
@@ -768,7 +769,7 @@ func (e *Engine) Step() (bool, error) {
 			what = evArrive{pe.j}
 			e.handleArrive(pe.j)
 		}
-	case fromCalendar:
+	case fromQueue:
 		ev := e.q.Pop()
 		what = ev.Payload
 		e.dispatch(ev)
@@ -787,7 +788,7 @@ func (e *Engine) Step() (bool, error) {
 }
 
 // PeekTime returns the virtual time of the next pending event — the
-// scheduler pass, a primed arrival or notice, or a calendar event, whichever
+// scheduler pass, a primed arrival or notice, or a queued event, whichever
 // Step would dispatch next — or false when nothing is pending.
 func (e *Engine) PeekTime() (int64, bool) {
 	e.prime()
@@ -860,7 +861,7 @@ func (e *Engine) fail(format string, args ...any) {
 	}
 }
 
-// Event payloads. evSched never enters the calendar: it names the pending
+// Event payloads. evSched never enters the event queue: it names the pending
 // scheduler pass in frames and in Validate failures.
 type (
 	evArrive struct{ j *job.Job }
@@ -874,7 +875,7 @@ type (
 	evSched struct{}
 )
 
-// dispatch handles an event popped from the calendar.
+// dispatch handles an event popped from the event queue.
 func (e *Engine) dispatch(ev *eventq.Event) {
 	// Popped events are recycled once no reference can survive: arrivals and
 	// notices hand out no handles; end/warning events are recycled only if
@@ -1038,7 +1039,7 @@ func (e *Engine) removeFromQueue(j *job.Job) {
 
 // requestSchedule asks for a scheduler pass at the current instant, after
 // every other event at it. The pass takes the sequence number a pushed event
-// would, but stays out of the calendar: Step dispatches it from the flag.
+// would, but stays out of the event queue: Step dispatches it from the flag.
 func (e *Engine) requestSchedule() {
 	if !e.schedPending {
 		e.schedSeq = e.q.TakeSeq()

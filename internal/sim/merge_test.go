@@ -86,7 +86,7 @@ func newCoincideEngine(t *testing.T, log *[]string) *Engine {
 
 // TestCoincidentSourcesDispatchInKeyOrder puts every event source on one
 // instant and checks the dispatch order is (Time, Prio, Seq) across them:
-// calendar events (a completion, node failures, timers, live arrivals), the
+// queued events (a completion, node failures, timers, live arrivals), the
 // primed cursor (arrivals and notices of the jobs known at the first Step)
 // and the scheduler pass. A pass requested at Attach holds the lowest
 // sequence number of t=0, below every primed event, yet runs last; a job
@@ -102,7 +102,7 @@ func TestCoincidentSourcesDispatchInKeyOrder(t *testing.T) {
 	if _, err := e.Step(); err != nil {
 		t.Fatal(err)
 	}
-	// Live submissions join the calendar once the run is primed.
+	// Live submissions join the queue once the run is primed.
 	for _, j := range []*job.Job{rigid(10, 0, 8, 5000), rigid(11, 1000, 8, 100)} {
 		if err := e.Submit(j); err != nil {
 			t.Fatal(err)

@@ -130,7 +130,7 @@ func (e *Engine) Snapshot() ([]byte, error) {
 	e.cl.EncodeSnapshot(&enc)
 	e.met.EncodeSnapshot(&enc)
 
-	// Every pending event in dispatch order: the calendar's events, the
+	// Every pending event in dispatch order: the event queue's, the
 	// primed cursor's undispatched arrivals and notices, and the requested
 	// scheduler pass, merged under the one (Time, Prio, Seq) order, so a
 	// frame reads the same whichever source an event waits in.
@@ -465,7 +465,6 @@ func (e *Engine) LoadSnapshot(data []byte) error {
 	// Event queue.
 	seqCounter := d.U64()
 	var q eventq.Queue
-	q.EnablePooling()
 	if err := q.SetSeqCounter(seqCounter); err != nil {
 		return d.Fail(err)
 	}
@@ -569,7 +568,7 @@ func (e *Engine) LoadSnapshot(data []byte) error {
 		if d.Err() != nil {
 			return d.Err()
 		}
-		// Pending arrivals and notices join the calendar: the primed cursor
+		// Pending arrivals and notices join the queue: the primed cursor
 		// is an optimisation of a fresh run, and one order merges both.
 		ev, err := q.PushRestored(t, prio, payload, seq)
 		if err != nil {

@@ -22,13 +22,21 @@ type Summary struct {
 // Summarize computes descriptive statistics of xs. An empty input returns the
 // zero Summary.
 func Summarize(xs []float64) Summary {
-	if len(xs) == 0 {
-		return Summary{}
-	}
-	s := Summary{N: len(xs)}
 	sorted := make([]float64, len(xs))
 	copy(sorted, xs)
 	sort.Float64s(sorted)
+	return SummarizeSorted(sorted)
+}
+
+// SummarizeSorted is Summarize for a sample already in ascending order, which
+// it reads in place instead of copying and sorting. Sums run over the sorted
+// order, so any ascending arrangement of one sample summarizes bit for bit
+// alike.
+func SummarizeSorted(sorted []float64) Summary {
+	if len(sorted) == 0 {
+		return Summary{}
+	}
+	s := Summary{N: len(sorted)}
 	s.Min = sorted[0]
 	s.Max = sorted[len(sorted)-1]
 	for _, x := range sorted {

@@ -164,12 +164,11 @@ func RunSweep(specs []SweepSpec, opt SweepOptions) (*SweepReport, error) {
 			// Pass the raw multiplier: the runner applies the same default
 			// and explicit-zero sentinel rules, and root withDefaults
 			// resolving -1 to 0 here would be re-read as "use default".
-			CkptFreqMult:     s.Sim.CheckpointFreqMult,
-			BackfillReserved: cfg.BackfillReserved,
-			Validate:         cfg.Validate,
-			FaultMTBF:        s.FaultMTBF,
-			FaultMeanRepair:  s.FaultMeanRepair,
-			Drains:           s.Drains,
+			CkptFreqMult:    s.Sim.CheckpointFreqMult,
+			Validate:        cfg.Validate,
+			FaultMTBF:       s.FaultMTBF,
+			FaultMeanRepair: s.FaultMeanRepair,
+			Drains:          s.Drains,
 		}
 	}
 	sweep := runner.Run(rspecs, runner.Options{
