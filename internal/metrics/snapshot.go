@@ -84,6 +84,10 @@ func DecodeSnapshotCollector(d *snapshot.Dec) *Collector {
 				PreemptCount: d.Int(),
 				ShrinkCount:  d.Int(),
 			}
+			if r := c.results[i]; r.Class < job.Rigid || r.Class > job.Malleable {
+				d.Failf("metrics: job %d: invalid class %d", r.ID, int(r.Class))
+				return nil
+			}
 		}
 	}
 	c.decision.SetState(d.Int(), d.F64(), d.F64())

@@ -4,7 +4,33 @@ import (
 	"testing"
 
 	"hybridsched/internal/job"
+	"hybridsched/internal/snapshot"
 )
+
+// TestDecodeRefusesInvalidClass: a frame whose job result carries a class
+// byte outside rigid/on-demand/malleable must fail to decode, as the job
+// decoder refuses the same byte, instead of restoring a job that All counts
+// and no class does. The same frame with a valid class decodes.
+func TestDecodeRefusesInvalidClass(t *testing.T) {
+	decode := func(class job.Class) (*Collector, error) {
+		c := NewCollector(100)
+		c.NoteSubmit(0)
+		j := completeJob(1, job.Rigid, 0, 0, 50, 4, 0)
+		j.Class = class
+		c.NoteComplete(j)
+		var enc snapshot.Enc
+		c.EncodeSnapshot(&enc)
+		d := snapshot.NewDec(enc.Bytes())
+		got := DecodeSnapshotCollector(d)
+		return got, d.Err()
+	}
+	if got, err := decode(job.Malleable); got == nil || err != nil {
+		t.Fatalf("valid class refused: %v", err)
+	}
+	if got, err := decode(7); got != nil || err == nil {
+		t.Fatalf("class 7 decoded (collector returned: %v, error: %v)", got != nil, err)
+	}
+}
 
 // TestNoteSubmitOutOfOrder: incremental sessions note submissions one at a
 // time in trace order, which need not be time order; the window (and the

@@ -1,6 +1,7 @@
 package policy
 
 import (
+	"slices"
 	"sort"
 
 	"hybridsched/internal/job"
@@ -41,21 +42,10 @@ const maxInt64 = int64(^uint64(0) >> 1)
 // Planner computes EASY-backfilling plans with reusable scratch buffers, so a
 // scheduler invoking it once per event allocates nothing in steady state. The
 // zero value is ready to use. A Planner is not safe for concurrent use, and
-// each PlanEASY call invalidates the slice returned by the previous one.
+// each PlanEASYSorted call invalidates the slice returned by the previous one.
 type Planner struct {
 	starts []Start
-	rel    []Running
 	curs   []cursor
-
-	// Memoized phase-2 shadow/extra for PlanEASYSorted, keyed by everything
-	// the computation reads: the head's residual need, the free pool, and the
-	// caller's release-list version. See PlanEASYSorted.
-	shadowValid    bool
-	shadowHeadNeed int
-	shadowFree     int
-	shadowRelVer   uint64
-	shadowTime     int64
-	shadowExtra    int
 }
 
 // PlanEASY computes the set of waiting jobs to start now under FCFS/EASY
@@ -88,44 +78,54 @@ type Planner struct {
 // "no special treatments"), malleable jobs are scheduled rigidly at their
 // maximum size.
 //
-// Phase 3 visits every job behind the head; PlanEASYSorted on an incremental
-// queue visits only those that could fit and must agree with it exactly.
-//
-// The returned slice is owned by the Planner and valid until its next call.
-func (p *Planner) PlanEASY(now int64, queue []*job.Job, running []Running, free, backfillExtra int, ownReserve func(*job.Job) int, flexible bool) []Start {
-	idx, b := p.head(now, queue, running, free, backfillExtra, ownReserve, flexible, false, 0)
+// running may be in any order: PlanEASY plans over a sorted copy of it.
+// Phase 3 visits every job behind the head. This is the one-shot planner the
+// engine's per-pass check under sim.Config.Validate compares against;
+// PlanEASYSorted must agree with it exactly.
+func PlanEASY(now int64, queue []*job.Job, running []Running, free, backfillExtra int, ownReserve func(*job.Job) int, flexible bool) []Start {
+	var p Planner
+	idx, b := p.head(now, queue, sortedRel(running), free, backfillExtra, ownReserve, flexible)
 	if idx < len(queue) {
 		p.backfillLinear(queue[idx+1:], &b)
 	}
 	return p.starts
 }
 
+// sortedRel returns a copy of running in release-list order.
+func sortedRel(running []Running) []Running {
+	rel := slices.Clone(running)
+	sort.Slice(rel, func(i, k int) bool { return relLess(rel[i], rel[k]) })
+	return rel
+}
+
 // PlanEASYSorted is PlanEASY over q, which must be in policy order at now (an
 // incremental queue always is; Sort any other first), and a release list the
-// caller maintains sorted by (EstEnd, ID). The per-pass copy and sort of the
-// release list disappear, and the phase-2 shadow/extra computation is
-// memoized: relVersion must change whenever the contents of running change
-// (any insert, removal, or estimate update); together with the head's
-// residual need and the free count it keys the cached result, so a pass
-// repeated against an unchanged running set and free pool skips the
-// release-list scan entirely.
+// caller maintains sorted by (EstEnd, ID), which spares the per-pass copy and
+// sort. maxOwn must bound ownReserve over every queued job (the total of
+// reserved nodes will do; 0 with no private reservations).
 //
-// On an incremental queue, phase 3 walks q's need index instead of the
-// queue, with one cursor on each need group whose need is at most free +
-// backfillExtra + maxOwn, where maxOwn bounds ownReserve over every queued
-// job (the total of reserved nodes will do; 0 with no private reservations):
-// a job needing more cannot fit its own reservation plus both pools. Within
-// a pass the shadow time is fixed and the pools only shrink, so a candidate
-// the pools reject stays rejected: each cursor moves forward past rejected
-// jobs to its group's first admissible one and never back, and the earliest
-// of those in queue order is the start the linear scan of PlanEASY would
-// make next. The plan is PlanEASY's, start
-// for start, at a cost set by the jobs that could fit rather than by the
-// queue's depth. A queue that is not incremental is scanned linearly: it is
-// re-sorted every pass, and rebuilding the index after each re-sort costs
-// more than the scan it would save.
-func (p *Planner) PlanEASYSorted(now int64, q *Queue, running []Running, relVersion uint64, free, backfillExtra, maxOwn int, ownReserve func(*job.Job) int) []Start {
-	idx, b := p.head(now, q.jobs, running, free, backfillExtra, ownReserve, q.flexible, true, relVersion)
+// A job draws on at most its own reservation, the free pool and the shared
+// reserve, so no job whose start need exceeds free + backfillExtra + maxOwn
+// can start. On an incremental queue the need index gives the smallest start
+// need in O(1), and a pass whose smallest need exceeds that bound returns no
+// starts without planning.
+//
+// On an incremental queue, phase 3 also walks q's need index instead of the
+// queue, with one cursor on each need group whose need is within the same
+// bound. Within a pass the shadow time is fixed and the pools only shrink,
+// so a candidate the pools reject stays rejected: each cursor moves forward
+// past rejected jobs to its group's first admissible one and never back, and
+// the earliest of those in queue order is the start the linear scan of
+// PlanEASY would make next. The plan is PlanEASY's, start for start, at a
+// cost set by the jobs that could fit rather than by the queue's depth. A
+// queue that is not incremental is scanned linearly: it is re-sorted every
+// pass, and rebuilding the index after each re-sort costs more than the scan
+// it would save.
+func (p *Planner) PlanEASYSorted(now int64, q *Queue, running []Running, free, backfillExtra, maxOwn int, ownReserve func(*job.Job) int) []Start {
+	if q.incremental && q.minNeed() > free+backfillExtra+maxOwn {
+		return nil
+	}
+	idx, b := p.head(now, q.jobs, running, free, backfillExtra, ownReserve, q.flexible)
 	if idx < len(q.jobs) {
 		if q.incremental {
 			p.backfillIndexed(q, idx, &b, maxOwn)
@@ -134,13 +134,6 @@ func (p *Planner) PlanEASYSorted(now int64, q *Queue, running []Running, relVers
 		}
 	}
 	return p.starts
-}
-
-// PlanEASY is the allocation-per-call form of Planner.PlanEASY, for one-shot
-// callers such as the engine's per-pass check under sim.Config.Validate.
-func PlanEASY(now int64, queue []*job.Job, running []Running, free, backfillExtra int, ownReserve func(*job.Job) int, flexible bool) []Start {
-	var p Planner
-	return p.PlanEASY(now, queue, running, free, backfillExtra, ownReserve, flexible)
 }
 
 // startNeed is the smallest node count that lets j start as the (unblocked)
@@ -171,10 +164,11 @@ func (b *backfill) ownOf(j *job.Job) int {
 	return b.own(j)
 }
 
-// head runs phases 1 and 2: it replaces p.starts with the jobs started from
-// the head of queue and returns the index of the blocked head (len(queue)
-// when every job started), with the backfill state for the jobs behind it.
-func (p *Planner) head(now int64, queue []*job.Job, running []Running, free, backfillExtra int, ownReserve func(*job.Job) int, flexible, sorted bool, relVer uint64) (int, backfill) {
+// head runs phases 1 and 2 over rel, the release list in (EstEnd, ID) order:
+// it replaces p.starts with the jobs started from the head of queue and
+// returns the index of the blocked head (len(queue) when every job started),
+// with the backfill state for the jobs behind it.
+func (p *Planner) head(now int64, queue []*job.Job, rel []Running, free, backfillExtra int, ownReserve func(*job.Job) int, flexible bool) (int, backfill) {
 	b := backfill{now: now, own: ownReserve, flexible: flexible, free: free, shared: backfillExtra}
 	p.starts = p.starts[:0]
 
@@ -202,7 +196,7 @@ func (p *Planner) head(now int64, queue []*job.Job, running []Running, free, bac
 	// reduces what it needs from the free pool and future releases.
 	head := queue[idx]
 	headNeed := startNeed(head, flexible) - b.ownOf(head)
-	b.shadow, b.extra = p.shadowAndExtra(running, b.free, headNeed, sorted, relVer)
+	b.shadow, b.extra = shadowAndExtra(rel, b.free, headNeed)
 	return idx, b
 }
 
@@ -325,45 +319,24 @@ func (b *backfill) advance(q *Queue, c *cursor, bound int) bool {
 	return false
 }
 
-// shadowAndExtra computes the head job's reservation: the shadow time at
-// which headNeed nodes become available (estimate-based), and the number of
-// extra nodes left over at that instant beyond the head's need. If the head
-// can never be satisfied from running-job releases (e.g. reservations hold
-// nodes back), the shadow is unbounded and only the fits-now constraint
-// applies to backfill candidates. With sorted unset the release list is
-// copied into planner scratch and ordered by (EstEnd, ID) — the caller's
-// slice is never reordered; with sorted set the caller guarantees that order
-// and the result is memoized under (headNeed, free, relVer).
-func (p *Planner) shadowAndExtra(running []Running, free, headNeed int, sorted bool, relVer uint64) (shadow int64, extra int) {
+// shadowAndExtra computes the head job's reservation over rel, the release
+// list in (EstEnd, ID) order: the shadow time at which headNeed nodes become
+// available (estimate-based), and the number of extra nodes left over at that
+// instant beyond the head's need. If the head can never be satisfied from
+// running-job releases (e.g. reservations hold nodes back), the shadow is
+// unbounded and only the fits-now constraint applies to backfill candidates.
+func shadowAndExtra(rel []Running, free, headNeed int) (shadow int64, extra int) {
 	avail := free
 	if avail >= headNeed {
 		return maxInt64, avail - headNeed
 	}
-	rel := running
-	if !sorted {
-		rel = append(p.rel[:0], running...)
-		p.rel = rel
-		sort.Slice(rel, func(i, j int) bool { return relLess(rel[i], rel[j]) })
-	} else if p.shadowValid && p.shadowHeadNeed == headNeed && p.shadowFree == free && p.shadowRelVer == relVer {
-		return p.shadowTime, p.shadowExtra
-	}
-	shadow, extra = maxInt64, 0
 	for _, r := range rel {
 		avail += r.Nodes
 		if avail >= headNeed {
-			shadow, extra = r.EstEnd, avail-headNeed
-			break
+			return r.EstEnd, avail - headNeed
 		}
 	}
-	if sorted {
-		p.shadowValid = true
-		p.shadowHeadNeed = headNeed
-		p.shadowFree = free
-		p.shadowRelVer = relVer
-		p.shadowTime = shadow
-		p.shadowExtra = extra
-	}
-	return shadow, extra
+	return maxInt64, 0
 }
 
 // minStart is the smallest node count on which j can be started.

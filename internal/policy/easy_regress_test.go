@@ -73,8 +73,9 @@ func TestRigidBackfillReservedHeadroom(t *testing.T) {
 	}
 }
 
-// TestSortedPlannerMatchesUnsorted drives the memoized pre-sorted entry point
-// against the sort-per-call one on the regression fixtures.
+// TestSortedPlannerMatchesUnsorted drives the pre-sorted entry point against
+// the sort-per-call one on the regression fixtures, with a planner reused
+// across passes as the engine reuses its own.
 func TestSortedPlannerMatchesUnsorted(t *testing.T) {
 	running := []Running{
 		{EstEnd: 1000, Nodes: 30, ID: 90},
@@ -92,10 +93,10 @@ func TestSortedPlannerMatchesUnsorted(t *testing.T) {
 	queue := []*job.Job{head, c1, c2}
 	q := queueOf(FCFS{}, false, true, 0, queue)
 
-	var pa, pb Planner
-	for pass := 0; pass < 3; pass++ { // repeat: the second pass hits the memo
-		a := pa.PlanEASY(0, queue, running, 30, 2, nil, true)
-		b := pb.PlanEASYSorted(0, q, sorted, 7, 30, 2, 0, nil)
+	var p Planner
+	for pass := 0; pass < 3; pass++ {
+		a := PlanEASY(0, queue, running, 30, 2, nil, true)
+		b := p.PlanEASYSorted(0, q, sorted, 30, 2, 0, nil)
 		if len(a) != len(b) {
 			t.Fatalf("pass %d: %d vs %d starts", pass, len(a), len(b))
 		}

@@ -206,7 +206,7 @@ func headNotDelayed(now int64, queue []*job.Job, running []Running, free int, st
 	if head == nil {
 		return true
 	}
-	shadow, _ := new(Planner).shadowAndExtra(running, freeAfter(free, starts, queue, head), minStart(head), false, 0)
+	shadow, _ := shadowAndExtra(sortedRel(running), freeAfter(free, starts, queue, head), minStart(head))
 	if shadow == maxInt64 {
 		return true
 	}

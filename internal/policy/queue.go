@@ -10,11 +10,11 @@ import (
 // Queue is a scheduler's waiting queue in policy order, with a need index
 // beside it: the queued jobs grouped by start need (Size, or MinSize for a
 // malleable job under flexible sizing), each group in queue order, groups
-// ascending by need. On an incremental queue the index lets the backfill
-// phase of PlanEASYSorted visit only jobs that could fit, and it gives the
-// exact smallest start need in O(1). It is built on first use (MinNeed or an
-// indexed plan), kept up to date by every insertion and removal from then
-// on, and dropped by a re-sort or Load until its next use.
+// ascending by need. On an incremental queue the index gives PlanEASYSorted
+// the exact smallest start need in O(1) and lets its backfill phase visit
+// only jobs that could fit. It is built on the first plan that reads it,
+// kept up to date by every insertion and removal from then on, and dropped
+// by a re-sort or Load until its next use.
 //
 // A queue is incremental exactly when its ordering is time-invariant: it
 // keeps policy order as jobs come and go (binary-search insertion and
@@ -60,13 +60,9 @@ func (q *Queue) Len() int { return len(q.jobs) }
 // queue and valid until its next mutation.
 func (q *Queue) Jobs() []*job.Job { return q.jobs }
 
-// Incremental reports whether the queue is always in policy order, so that
-// Sort never reorders it.
-func (q *Queue) Incremental() bool { return q.incremental }
-
-// MinNeed returns the smallest start need of any queued job, or the largest
+// minNeed returns the smallest start need of any queued job, or the largest
 // int when the queue is empty.
-func (q *Queue) MinNeed() int {
+func (q *Queue) minNeed() int {
 	q.index()
 	if len(q.groups) == 0 {
 		return maxInt
@@ -74,7 +70,7 @@ func (q *Queue) MinNeed() int {
 	return q.groups[0].need
 }
 
-// maxInt is MinNeed of an empty queue.
+// maxInt is minNeed of an empty queue.
 const maxInt = int(^uint(0) >> 1)
 
 func (q *Queue) need(j *job.Job) int { return startNeed(j, q.flexible) }

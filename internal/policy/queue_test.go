@@ -11,7 +11,7 @@ import (
 
 // checkIndex verifies the need-index invariant against the queue itself:
 // groups ascending by need, none empty, each holding exactly the queued jobs
-// of its need in queue order, and MinNeed the first group's need. It builds
+// of its need in queue order, and minNeed the first group's need. It builds
 // the index if the queue has none, so later operations maintain it.
 func checkIndex(q *Queue) error {
 	q.index()
@@ -35,8 +35,8 @@ func checkIndex(q *Queue) error {
 			return fmt.Errorf("group %d: %v, want %v", g.need, ids(g.jobs), ids(want[g.need]))
 		}
 	}
-	if q.MinNeed() != least {
-		return fmt.Errorf("MinNeed %d, want %d", q.MinNeed(), least)
+	if q.minNeed() != least {
+		return fmt.Errorf("minNeed %d, want %d", q.minNeed(), least)
 	}
 	return nil
 }
@@ -110,12 +110,12 @@ func queueAgainstReference(t *testing.T, ord Ordering, incremental, odFirst, fle
 			}
 		default:
 			q.Sort(now)
-			if !q.Incremental() {
+			if !q.incremental {
 				Sort(ref, ord, now, odFirst)
 			}
 		}
 		want := ref
-		if q.Incremental() {
+		if q.incremental {
 			want = slices.Clone(ref)
 			Sort(want, ord, now, odFirst)
 		}
@@ -126,7 +126,7 @@ func queueAgainstReference(t *testing.T, ord Ordering, incremental, odFirst, fle
 			t.Fatalf("op %d: %v", op, err)
 		}
 	}
-	if q.Incremental() && !TimeInvariant(ord) {
+	if q.incremental && !TimeInvariant(ord) {
 		t.Fatalf("%s queue claims incremental order", ord.Name())
 	}
 }

@@ -47,25 +47,3 @@ func BenchmarkSweep(b *testing.B) {
 		})
 	}
 }
-
-// BenchmarkTraceCache isolates the workload-memoization win: the same grid
-// with and without trace sharing.
-func BenchmarkTraceCache(b *testing.B) {
-	b.ReportAllocs()
-	specs := benchGrid()
-	for _, disabled := range []bool{false, true} {
-		name := "cached"
-		if disabled {
-			name = "uncached"
-		}
-		b.Run(name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				sweep := Run(specs, Options{Workers: runtime.NumCPU(), NoTraceCache: disabled})
-				if err := sweep.Err(); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}

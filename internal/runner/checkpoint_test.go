@@ -136,7 +136,7 @@ func TestSweepResume(t *testing.T) {
 
 	// Cell 0: interrupted mid-run — a genuine midpoint snapshot, no done file.
 	s0 := specs[0].withDefaults()
-	cache := newTraceCache(true)
+	cache := newTraceCache()
 	recs, err := cache.records(s0)
 	if err != nil {
 		t.Fatal(err)
@@ -220,7 +220,7 @@ func TestResumeIgnoresForeignSnapshot(t *testing.T) {
 	s1 := specs[1].withDefaults()
 
 	// Mid-run snapshot of cell 0, filed under cell 1's name.
-	cache := newTraceCache(true)
+	cache := newTraceCache()
 	recs, err := cache.records(s0)
 	if err != nil {
 		t.Fatal(err)

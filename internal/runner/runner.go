@@ -95,8 +95,6 @@ type Spec struct {
 	// every scheduler pass against a plan computed from scratch (see
 	// sim.Config.Validate).
 	Validate bool `json:"-"`
-	// MaxSimTime aborts a run whose virtual clock passes this bound (0 = none).
-	MaxSimTime int64 `json:"-"`
 
 	// FaultMTBF, when positive, wraps the cell's mechanism in the fault
 	// injector at this system MTBF (seconds): failures strike uniformly
@@ -280,9 +278,6 @@ type Options struct {
 	// Progress receives one line per completed cell plus a final summary
 	// (nil = quiet). Lines appear in completion order.
 	Progress io.Writer
-	// NoTraceCache disables workload memoization (each cell regenerates its
-	// trace; useful only for measuring the cache itself).
-	NoTraceCache bool
 
 	// CheckpointDir, when non-empty, persists per-cell progress into this
 	// directory: each cell writes an engine snapshot every CheckpointEvery
@@ -333,7 +328,7 @@ func Run(specs []Spec, opt Options) Sweep {
 		}
 	}
 	if len(specs) > 0 {
-		cache := newTraceCache(!opt.NoTraceCache)
+		cache := newTraceCache()
 		var (
 			wg   sync.WaitGroup
 			mu   sync.Mutex // guards done + Progress interleaving
@@ -422,7 +417,6 @@ func buildCell(s Spec, recs []trace.Record) (Spec, *sim.Engine, error) {
 		Policy:           ord,
 		BackfillReserved: s.Core.BackfillReserved,
 		Validate:         s.Validate,
-		MaxSimTime:       s.MaxSimTime,
 	}, jobs, mech)
 	if err != nil {
 		return s, nil, err
@@ -499,7 +493,6 @@ func runOne(spec Spec, cache *traceCache, ck *ckptState) (res Result) {
 // reads them), so one trace is safely shared by every cell that replays it;
 // cells needing the same in-flight trace block on its sync.Once.
 type traceCache struct {
-	enabled bool
 	mu      sync.Mutex
 	entries map[string]*traceEntry
 	gens    int // materializations, for tests
@@ -511,20 +504,31 @@ type traceEntry struct {
 	err  error
 }
 
-func newTraceCache(enabled bool) *traceCache {
-	return &traceCache{enabled: enabled, entries: map[string]*traceEntry{}}
+func newTraceCache() *traceCache {
+	return &traceCache{entries: map[string]*traceEntry{}}
 }
 
 // generate is swapped out by tests that need a crashing generator.
 var generate = workload.Generate
 
-// materializeSource compiles and drains a source spec into a record slice.
+// materializeSource compiles and drains a source spec into a record slice,
+// each record normalized and checked as a session's Submit checks it, so a
+// malformed record fails its cells with an error naming it.
 func materializeSource(spec string) ([]trace.Record, error) {
 	src, err := source.Parse(spec)
 	if err != nil {
 		return nil, err
 	}
-	return source.ReadAll(src)
+	recs, err := source.ReadAll(src)
+	if err != nil {
+		return nil, err
+	}
+	for i := range recs {
+		if recs[i], err = recs[i].Normalize(); err != nil {
+			return nil, err
+		}
+	}
+	return recs, nil
 }
 
 // records resolves a cell's trace: the source spec when set, the synthetic
@@ -545,12 +549,6 @@ func (c *traceCache) records(s Spec) ([]trace.Record, error) {
 }
 
 func (c *traceCache) get(key string, gen func() ([]trace.Record, error)) ([]trace.Record, error) {
-	if !c.enabled {
-		c.mu.Lock()
-		c.gens++
-		c.mu.Unlock()
-		return gen()
-	}
 	c.mu.Lock()
 	e, ok := c.entries[key]
 	if !ok {

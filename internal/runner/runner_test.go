@@ -7,8 +7,10 @@ import (
 	"testing"
 
 	"hybridsched/internal/core"
+	"hybridsched/internal/job"
 	"hybridsched/internal/simtest"
 	"hybridsched/internal/simtime"
+	"hybridsched/internal/source"
 	"hybridsched/internal/trace"
 	"hybridsched/internal/workload"
 )
@@ -121,7 +123,7 @@ func TestErrorIsolation(t *testing.T) {
 }
 
 func TestTraceCacheSharesRecords(t *testing.T) {
-	cache := newTraceCache(true)
+	cache := newTraceCache()
 	cfg := workload.Config{Seed: 7, Nodes: 512, Weeks: 1,
 		MinJobSize:  16,
 		SizeBuckets: []int{16, 64},
@@ -165,7 +167,7 @@ func TestTraceCachePanicPoisonsEntry(t *testing.T) {
 	// silent nil records to the siblings that arrive after the sync.Once.
 	generate = func(workload.Config) ([]trace.Record, error) { panic("generator crash") }
 	defer func() { generate = workload.Generate }()
-	cache := newTraceCache(true)
+	cache := newTraceCache()
 	cfg := workload.Config{Seed: 7, Nodes: 512, Weeks: 1,
 		MinJobSize:  16,
 		SizeBuckets: []int{16, 64},
@@ -176,23 +178,6 @@ func TestTraceCachePanicPoisonsEntry(t *testing.T) {
 		if err == nil || !strings.Contains(err.Error(), "generator crash") || recs != nil {
 			t.Fatalf("call %d: poisoned entry returned (%d records, %v), want generator-crash error", i, len(recs), err)
 		}
-	}
-}
-
-func TestNoTraceCacheRegenerates(t *testing.T) {
-	cache := newTraceCache(false)
-	cfg := workload.Config{Seed: 7, Nodes: 512, Weeks: 1,
-		MinJobSize:  16,
-		SizeBuckets: []int{16, 64},
-		SizeWeights: []float64{0.5, 0.5},
-	}
-	for i := 0; i < 3; i++ {
-		if _, err := cache.records(Spec{Workload: cfg}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if cache.gens != 3 {
-		t.Fatalf("disabled cache generated %d times, want 3", cache.gens)
 	}
 }
 
@@ -308,7 +293,7 @@ func sourceGrid() []Spec {
 
 func TestSourceSpecCellsShareOneMaterialization(t *testing.T) {
 	specs := sourceGrid()
-	cache := newTraceCache(true)
+	cache := newTraceCache()
 	for _, s := range specs {
 		if _, err := cache.records(s.withDefaults()); err != nil {
 			t.Fatal(err)
@@ -325,6 +310,51 @@ func TestSourceSpecCellsShareOneMaterialization(t *testing.T) {
 	}
 	if cache.gens != 2 {
 		t.Fatalf("distinct specs share an entry: gens=%d", cache.gens)
+	}
+}
+
+// badRecordOnce registers the bad-record sources once per test binary:
+// registration is append-only, and -count reruns the test.
+var (
+	badRecordOnce sync.Once
+	badRecordErr  error
+)
+
+// TestSourceCellRefusesBadRecord: a source record a session's Submit refuses
+// — size 0, or a class outside rigid/on-demand/malleable — fails its sweep
+// cell with an error naming the record, not a recovered panic.
+func TestSourceCellRefusesBadRecord(t *testing.T) {
+	cases := []struct {
+		name string
+		bad  func(*trace.Record)
+		want string
+	}{
+		{"badrecsize", func(r *trace.Record) { r.Size = 0 }, "job 3: size 0 < 1"},
+		{"badrecclass", func(r *trace.Record) { r.Class = 9 }, "job 3: unknown class"},
+	}
+	badRecordOnce.Do(func() {
+		for _, c := range cases {
+			var recs []trace.Record
+			for id := 1; id <= 3; id++ {
+				recs = append(recs, trace.Record{ID: id, Class: job.Rigid, Submit: int64(id),
+					Size: 4, MinSize: 4, Work: 600, Estimate: 900, NoticeTime: int64(id)})
+			}
+			c.bad(&recs[2])
+			if badRecordErr = source.Register(c.name, func(string) (source.Source, error) {
+				return source.FromRecords(recs), nil
+			}); badRecordErr != nil {
+				return
+			}
+		}
+	})
+	if badRecordErr != nil {
+		t.Fatal(badRecordErr)
+	}
+	for _, c := range cases {
+		sweep := Run([]Spec{{Mechanism: "baseline", Nodes: 64, Source: c.name}}, Options{Workers: 1})
+		if err := sweep.Results[0].Err; !strings.Contains(err, c.want) || strings.Contains(err, "panic:") {
+			t.Errorf("%s: cell error %q, want one naming %q without a panic", c.name, err, c.want)
+		}
 	}
 }
 

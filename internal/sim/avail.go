@@ -143,21 +143,17 @@ func (e *Engine) takeNodeDown(node int) *nodeset.Set {
 }
 
 // expireWarningEarly forces a malleable job's preemption warning to expire at
-// the current instant (a failure struck it mid-warning). The pending expiry
-// event is cancelled and its claim honored, so the nodes are released exactly
-// once and the mechanism sees the usual OnWarningExpired callback.
+// the current instant (a failure struck it mid-warning). The expiry runs with
+// the pending event's claim, and vacate withdraws that event, so the nodes
+// are released exactly once and the mechanism sees the usual
+// OnWarningExpired callback.
 func (e *Engine) expireWarningEarly(j *job.Job) {
-	ent := e.mustEnt(j)
-	wev := ent.warnEv
+	wev := e.mustEnt(j).warnEv
 	if wev == nil {
 		e.fail("sim: job %d in warning with no expiry event", j.ID)
 		return
 	}
-	claim := wev.Payload.(evWarn).claim
-	e.q.Cancel(wev)
-	ent.warnEv = nil
-	e.q.Recycle(wev)
-	e.handleWarnExpired(j, claim)
+	e.handleWarnExpired(j, wev.Payload.(evWarn).claim)
 }
 
 // handleNodeUp returns repaired nodes to the free pool.

@@ -315,14 +315,11 @@ type Engine struct {
 	// completion/preemption, and move when a resize or warning changes their
 	// estimated release. Estimate-based ends are invariant between those
 	// transitions (see job.MalleableEstimatedEndAsOf), so the list never goes
-	// stale in between. relVer bumps on every mutation and keys the planner's
-	// shadow/extra memoization.
+	// stale in between.
 	//schedlint:snapfield rebuilt from the restored running set; see releaseList
 	rel []policy.Running
-	//schedlint:snapfield memoization version counter; any fresh value is correct after restore
-	relVer uint64
 
-	//schedlint:snapfield scratch planner; holds no cross-pass state worth a checkpoint
+	//schedlint:snapfield scratch planner; holds no cross-pass state
 	planner policy.Planner
 
 	schedPending bool
@@ -460,7 +457,6 @@ func (e *Engine) relAdd(j *job.Job) {
 	ent := e.mustEnt(j)
 	ent.relEnd = r.EstEnd
 	ent.relOn = true
-	e.relVer++
 }
 
 // relDel removes job id from the release list, locating it by the key it was
@@ -477,7 +473,6 @@ func (e *Engine) relDel(id int) {
 		e.rel = e.rel[:len(e.rel)-1]
 	}
 	ent.relOn = false
-	e.relVer++
 }
 
 // relRefresh re-keys a node-holding job whose estimated release moved — a
@@ -878,10 +873,9 @@ type (
 // dispatch handles an event popped from the event queue.
 func (e *Engine) dispatch(ev *eventq.Event) {
 	// Popped events are recycled once no reference can survive: arrivals and
-	// notices hand out no handles; end/warning events are recycled only if
-	// the handler cleared the job's handle (it does, except on a failing
-	// run). Timer events are never recycled — their handles live with the
-	// mechanism, which may cancel them after firing.
+	// notices hand out no handles, and an end or warning event is the job's
+	// handle, which vacate withdraws. Timer events are never recycled — their
+	// handles live with the mechanism, which may cancel them after firing.
 	switch p := ev.Payload.(type) {
 	case evArrive:
 		e.handleArrive(p.j)
@@ -891,14 +885,8 @@ func (e *Engine) dispatch(ev *eventq.Event) {
 		e.q.Recycle(ev)
 	case evEnd:
 		e.handleEnd(p.j)
-		if ent := e.lookup(p.j.ID); ent == nil || ent.endEv != ev {
-			e.q.Recycle(ev)
-		}
 	case evWarn:
 		e.handleWarnExpired(p.j, p.claim)
-		if ent := e.lookup(p.j.ID); ent == nil || ent.warnEv != ev {
-			e.q.Recycle(ev)
-		}
 	case evTimer:
 		e.mech.OnTimer(p.payload)
 		e.requestSchedule()
@@ -964,18 +952,9 @@ func (e *Engine) handleEnd(j *job.Job) {
 	e.met.AddUsage(u)
 	e.met.NoteComplete(j)
 	e.completed++
-	ent := e.mustEnt(j)
-	ent.endEv = nil
-	if wev := ent.warnEv; wev != nil {
-		// Completed inside its warning window; the expiry must not fire.
-		e.q.Cancel(wev)
-		ent.warnEv = nil
-		e.q.Recycle(wev)
-	}
-	freed := e.cl.Release(j.ID)
-	ent.running = false
-	e.removeRunning(j.ID)
-	e.restoreSquattedNodes(j.ID, freed)
+	// A job that completes inside its warning window withdraws the expiry
+	// with its end event.
+	freed := e.vacate(j)
 	e.mech.OnJobCompleted(j, freed)
 	e.requestSchedule()
 	if e.cfg.ReleaseCompleted {
@@ -983,8 +962,7 @@ func (e *Engine) handleEnd(j *job.Job) {
 	}
 }
 
-// dropEntry forgets a completed job's index entry (ReleaseCompleted): the
-// dispatcher sees the missing entry and recycles the popped end event.
+// dropEntry forgets a completed job's index entry (ReleaseCompleted).
 func (e *Engine) dropEntry(id int) {
 	if id >= 0 && id < len(e.dense) && e.dense[id].j != nil {
 		e.dense[id] = jobEntry{}
@@ -1002,20 +980,35 @@ func (e *Engine) handleWarnExpired(j *job.Job, claim int) {
 	e.emit(EventPreempt, j, j.CurSize)
 	u := j.FinalizeWarning(e.clk)
 	e.met.AddUsage(u)
-	ent := e.mustEnt(j)
-	ent.warnEv = nil
-	if ev := ent.endEv; ev != nil {
-		e.q.Cancel(ev)
-		ent.endEv = nil
-		e.q.Recycle(ev)
-	}
-	freed := e.cl.Release(j.ID)
-	ent.running = false
-	e.removeRunning(j.ID)
-	e.restoreSquattedNodes(j.ID, freed)
+	freed := e.vacate(j)
 	e.enqueue(j)
 	e.mech.OnWarningExpired(j, claim, freed)
 	e.requestSchedule()
+}
+
+// vacate takes a node-holding job off the machine: it withdraws the job's end
+// and warning events, releases its nodes, takes it off the running set and
+// returns the nodes it squatted on to their claims. It returns the nodes the
+// release left in the free pool.
+func (e *Engine) vacate(j *job.Job) *nodeset.Set {
+	ent := e.mustEnt(j)
+	e.withdraw(&ent.endEv)
+	e.withdraw(&ent.warnEv)
+	ent.running = false
+	freed := e.cl.Release(j.ID)
+	e.removeRunning(j.ID)
+	e.restoreSquattedNodes(j.ID, freed)
+	return freed
+}
+
+// withdraw cancels the event behind the handle *ev, if it has not fired,
+// clears the handle and recycles the event.
+func (e *Engine) withdraw(ev **eventq.Event) {
+	if *ev != nil {
+		e.q.Cancel(*ev)
+		e.q.Recycle(*ev)
+		*ev = nil
+	}
 }
 
 func (e *Engine) enqueue(j *job.Job) {

@@ -33,30 +33,16 @@ func (e *Engine) schedulePass() {
 }
 
 // plan returns the starts of one scheduler pass from the incrementally
-// maintained queue and release list.
+// maintained queue and release list. The total of reserved nodes bounds any
+// job's private reservation.
 func (e *Engine) plan() []policy.Start {
-	if e.queue.Len() == 0 {
-		return nil
-	}
-	free := e.cl.FreeCount()
-	reserved := e.cl.TotalReserved()
-	// Nothing in the queue can start when even the smallest start need
-	// exceeds everything the planner could hand out: the free pool, plus
-	// reserved capacity counted once as a job's private headroom and once as
-	// the shared backfill reserve (the two draws can name the same nodes in
-	// the planner's accounting, so the sound bound takes both). The planner
-	// would provably return zero starts — skip it. Skips apply only to an
-	// incremental queue, since time-dependent policies re-sort (an observable
-	// reordering) on every pass.
-	if e.queue.Incremental() && e.queue.MinNeed() > free+2*reserved {
-		return nil
-	}
 	e.queue.Sort(e.clk)
+	reserved := e.cl.TotalReserved()
 	var own func(j *job.Job) int
 	if reserved > 0 {
 		own = func(j *job.Job) int { return e.cl.ReservedCount(j.ID) }
 	}
-	return e.planner.PlanEASYSorted(e.clk, &e.queue, e.rel, e.relVer, free, e.backfillExtraCount(), reserved, own)
+	return e.planner.PlanEASYSorted(e.clk, &e.queue, e.rel, e.cl.FreeCount(), e.backfillExtraCount(), reserved, own)
 }
 
 // checkPass is the Config.Validate oracle for one scheduler pass, run before
@@ -126,10 +112,8 @@ func (e *Engine) backfillExtraCount() int {
 		return 0
 	}
 	bf := 0
-	for claim, ok := range e.backfillable {
-		if ok {
-			bf += e.cl.ReservedCount(claim)
-		}
+	for claim := range e.backfillable {
+		bf += e.cl.ReservedCount(claim)
 	}
 	return bf
 }
@@ -185,10 +169,8 @@ func (e *Engine) startJob(j *job.Job, size int, allowSquat bool) {
 	}
 	if need > 0 && allowSquat && e.cfg.BackfillReserved && j.Class != job.OnDemand {
 		claims := make([]int, 0, len(e.backfillable))
-		for claim, ok := range e.backfillable {
-			if ok {
-				claims = append(claims, claim)
-			}
+		for claim := range e.backfillable {
+			claims = append(claims, claim)
 		}
 		sort.Ints(claims)
 		for _, claim := range claims {
@@ -257,22 +239,13 @@ func (e *Engine) PreemptRigid(j *job.Job) *nodeset.Set {
 		e.fail("sim: PreemptRigid on job %d (%v, %v)", j.ID, j.Class, j.State)
 		return &nodeset.Set{}
 	}
-	ent := e.mustEnt(j)
-	if ev := ent.endEv; ev != nil {
-		e.q.Cancel(ev)
-		ent.endEv = nil
-		e.q.Recycle(ev)
-	}
 	e.emit(EventPreempt, j, j.CurSize)
 	u := j.FinalizePreempt(e.clk)
 	e.met.AddUsage(u)
 	if j.Ckpt.Enabled() {
 		e.emit(EventCheckpoint, j, j.Size)
 	}
-	freed := e.cl.Release(j.ID)
-	ent.running = false
-	e.removeRunning(j.ID)
-	e.restoreSquattedNodes(j.ID, freed)
+	freed := e.vacate(j)
 	e.enqueue(j)
 	return freed
 }
@@ -291,16 +264,7 @@ func (e *Engine) PreemptMalleableNow(j *job.Job) *nodeset.Set {
 	j.BeginWarning(e.clk) // zero-length warning
 	u := j.FinalizeWarning(e.clk)
 	e.met.AddUsage(u)
-	ent := e.mustEnt(j)
-	if ev := ent.endEv; ev != nil {
-		e.q.Cancel(ev)
-		ent.endEv = nil
-		e.q.Recycle(ev)
-	}
-	freed := e.cl.Release(j.ID)
-	ent.running = false
-	e.removeRunning(j.ID)
-	e.restoreSquattedNodes(j.ID, freed)
+	freed := e.vacate(j)
 	e.enqueue(j)
 	return freed
 }
@@ -396,11 +360,7 @@ func (e *Engine) ExpandMalleable(j *job.Job, grant *nodeset.Set) {
 
 func (e *Engine) rescheduleEnd(j *job.Job, end int64) {
 	ent := e.mustEnt(j)
-	if ev := ent.endEv; ev != nil {
-		e.q.Cancel(ev)
-		ent.endEv = nil
-		e.q.Recycle(ev)
-	}
+	e.withdraw(&ent.endEv)
 	ent.endEv = e.q.Push(end, eventq.PrioEnd, evEnd{j})
 }
 

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"maps"
 	"slices"
 
 	"hybridsched/internal/cluster"
@@ -9,7 +10,6 @@ import (
 	"hybridsched/internal/job"
 	"hybridsched/internal/metrics"
 	"hybridsched/internal/nodeset"
-	"hybridsched/internal/policy"
 	"hybridsched/internal/snapshot"
 )
 
@@ -189,12 +189,8 @@ func (e *Engine) Snapshot() ([]byte, error) {
 	enc.Ints(open)
 
 	// Reserved-squatting bookkeeping, sorted for determinism.
-	enc.Ints(sortedKeysBool(e.backfillable))
-	squatIDs := make([]int, 0, len(e.squats))
-	for id := range e.squats {
-		squatIDs = append(squatIDs, id)
-	}
-	sortInts(squatIDs)
+	enc.Ints(slices.Sorted(maps.Keys(e.backfillable)))
+	squatIDs := slices.Sorted(maps.Keys(e.squats))
 	enc.U32(uint32(len(squatIDs)))
 	for _, id := range squatIDs {
 		enc.Int(id)
@@ -205,11 +201,7 @@ func (e *Engine) Snapshot() ([]byte, error) {
 			s.nodes.EncodeSnapshot(&enc)
 		}
 	}
-	claims := make([]int, 0, len(e.squatted))
-	for c := range e.squatted {
-		claims = append(claims, c)
-	}
-	sortInts(claims)
+	claims := slices.Sorted(maps.Keys(e.squatted))
 	enc.U32(uint32(len(claims)))
 	for _, c := range claims {
 		enc.Int(c)
@@ -640,18 +632,15 @@ func (e *Engine) LoadSnapshot(data []byte) error {
 	e.squats = squats
 	e.squatted = squatted
 	e.q = q
-	// Rebuild the incremental scheduler state: the release list (sorting by
-	// (EstEnd, ID) reproduces exactly what live maintenance held) and a fresh
-	// planner with no memoized shadow. Load above dropped the queue's need
-	// index; the next pass rebuilds it.
+	// Rebuild the release list: sorting by (EstEnd, ID) reproduces exactly
+	// what live maintenance held. Load above dropped the queue's need index;
+	// the next pass rebuilds it.
 	e.rel = e.releaseList()
 	for _, r := range e.rel {
 		ent := e.lookup(r.ID)
 		ent.relEnd = r.EstEnd
 		ent.relOn = true
 	}
-	e.relVer++
-	e.planner = policy.Planner{}
 	e.err = nil
 	return nil
 }
@@ -660,26 +649,6 @@ func (e *Engine) LoadSnapshot(data []byte) error {
 // still scheduled. Fired and cancelled timers report false; mechanisms use it
 // to serialize only live handles.
 func (e *Engine) TimerPending(ev *eventq.Event) bool { return e.q.Contains(ev) }
-
-// sortedKeysBool returns the keys of m whose value is true, ascending.
-func sortedKeysBool(m map[int]bool) []int {
-	out := make([]int, 0, len(m))
-	for k, v := range m {
-		if v {
-			out = append(out, k)
-		}
-	}
-	sortInts(out)
-	return out
-}
-
-func sortInts(xs []int) {
-	for i := 1; i < len(xs); i++ {
-		for k := i; k > 0 && xs[k-1] > xs[k]; k-- {
-			xs[k-1], xs[k] = xs[k], xs[k-1]
-		}
-	}
-}
 
 // Baseline mechanism snapshot support: the baseline holds no dynamic state
 // and schedules no timers.

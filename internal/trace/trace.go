@@ -60,6 +60,8 @@ type Record struct {
 // Validate checks internal consistency of a record.
 func (r Record) Validate() error {
 	switch {
+	case r.Class < job.Rigid || r.Class > job.Malleable:
+		return fmt.Errorf("trace: job %d: unknown class %v", r.ID, r.Class)
 	case r.Size < 1:
 		return fmt.Errorf("trace: job %d: size %d < 1", r.ID, r.Size)
 	case r.MinSize < 1 || r.MinSize > r.Size:
@@ -78,6 +80,17 @@ func (r Record) Validate() error {
 		return fmt.Errorf("trace: job %d: %v job with min size %d != size %d", r.ID, r.Class, r.MinSize, r.Size)
 	}
 	return nil
+}
+
+// Normalize returns r with a fixed-size job's MinSize set to its Size (the
+// simulator ignores it, and hand-built records often leave it zero or
+// stale), or an error when the result fails Validate. A record it accepts
+// materializes into a job.
+func (r Record) Normalize() (Record, error) {
+	if r.Class != job.Malleable {
+		r.MinSize = r.Size
+	}
+	return r, r.Validate()
 }
 
 var csvHeader = []string{
@@ -435,6 +448,7 @@ func WriteSWF(w io.Writer, records []Record) error {
 
 // Materialize converts records into simulator jobs, attaching the checkpoint
 // plan returned by plan for each rigid job's size. Records are not modified.
+// A record of no known class yields a nil job; Validate refuses one.
 func Materialize(records []Record, plan func(size int) checkpoint.Plan) []*job.Job {
 	jobs := make([]*job.Job, 0, len(records))
 	for _, r := range records {

@@ -91,6 +91,7 @@ func TestValidate(t *testing.T) {
 		func(r *Record) { r.Submit = -1 },
 		func(r *Record) { r.Setup = -1 },
 		func(r *Record) { r.Class = job.Rigid; r.MinSize = r.Size - 1 },
+		func(r *Record) { r.Class = 9; r.MinSize = r.Size },
 	}
 	for i, mutate := range cases {
 		r := good

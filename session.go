@@ -541,19 +541,11 @@ func (s *Session) emit(ev Event) {
 // normalized to Size first, since the simulator ignores it); malformed
 // records fail fast with a descriptive error instead of corrupting the run.
 func (s *Session) Submit(r Record) error {
-	if r.Class != Malleable {
-		// The simulator ignores MinSize for fixed-size classes, and legacy
-		// hand-constructed records routinely leave it zero or stale.
-		r.MinSize = r.Size
-	}
-	if err := r.Validate(); err != nil {
+	r, err := r.Normalize()
+	if err != nil {
 		return err
 	}
-	jobs := trace.Materialize([]Record{r}, s.plan)
-	if len(jobs) == 0 || jobs[0] == nil {
-		return fmt.Errorf("hybridsched: job %d has unknown class %v", r.ID, r.Class)
-	}
-	return s.eng.Submit(jobs[0])
+	return s.eng.Submit(trace.Materialize([]Record{r}, s.plan)[0])
 }
 
 // SubmitSource attaches src to the session: its records are drawn lazily as
