@@ -21,15 +21,17 @@
 // uniformly random node, interrupting whatever holds it); -repair keeps the
 // failed node out of service for a drawn repair time (0 = instant repair);
 // -drain schedules maintenance windows that absorb free capacity between
-// start and start+duration. All three apply to every path (-trace, -source,
-// and generated sweeps), and fault telemetry lands in the failures /
-// failure_misses / unavailable_frac output columns.
+// start and start+duration. All three apply to every workload, and fault
+// telemetry lands in the failures / failure_misses / unavailable_frac output
+// columns.
 //
 // -source accepts the source-spec grammar (csv:/swf:/synthetic: heads,
 // relabel/scale/shift/limit/filter transforms, '+' merges); the named
-// workload replaces both -trace and synthetic generation, runs through the
-// sweep runner (so -mechs/-workers/-out all apply), and is materialized
-// once no matter how many mechanisms replay it.
+// workload replaces synthetic generation and is materialized once no matter
+// how many mechanisms replay it. -trace PATH is shorthand for the source spec
+// csv:PATH (or swf:PATH with -format swf). Every workload runs through the
+// sweep runner, so -mechs, -workers, -out and -checkpoint/-restore apply to
+// all of them.
 package main
 
 import (
@@ -38,16 +40,15 @@ import (
 	"os"
 	"slices"
 	"strings"
-	"time"
 
 	"hybridsched"
 )
 
 func main() {
 	var (
-		tracePath = flag.String("trace", "", "input trace (empty: generate synthetically)")
-		srcSpec   = flag.String("source", "", "workload source spec, e.g. 'swf:theta.swf|relabel:paper|scale:1.2' (overrides -trace and generation; -seed/-seeds/-weeks/-mix ignored)")
-		format    = flag.String("format", "csv", "trace format: csv or swf")
+		tracePath = flag.String("trace", "", "input trace file, run as the source spec csv:PATH or swf:PATH (empty: generate synthetically)")
+		srcSpec   = flag.String("source", "", "workload source spec, e.g. 'swf:theta.swf|relabel:paper|scale:1.2' (replaces generation; -seed/-seeds/-weeks/-mix ignored)")
+		format    = flag.String("format", "csv", "-trace format: csv or swf")
 		mech      = flag.String("mech", "CUA&SPAA", "scheduler: baseline, the six paper mechanisms (e.g. CUA&SPAA), or a registered name")
 		mechs     = flag.String("mechs", "", "sweep schedulers: comma-separated names or \"all\" (overrides -mech)")
 		pol       = flag.String("policy", "fcfs", "queue policy: fcfs, sjf, ljf, wfp3, or a registered name")
@@ -78,6 +79,9 @@ func main() {
 	case "text", "json", "csv":
 	default:
 		fatal(fmt.Errorf("unknown output format %q (want text, json, or csv)", *out))
+	}
+	if *format != "csv" && *format != "swf" {
+		fatalUsage(fmt.Errorf("unknown trace format %q (want csv or swf)", *format))
 	}
 	mechList := []string{*mech}
 	if *mechs != "" {
@@ -154,15 +158,26 @@ func main() {
 		sp.Drains = drains
 	}
 
+	// A trace file is the source spec that reads it.
+	if *tracePath != "" {
+		if *srcSpec != "" {
+			fatalUsage(fmt.Errorf("-source and -trace are mutually exclusive"))
+		}
+		if strings.ContainsAny(*tracePath, "|+") {
+			fatalUsage(fmt.Errorf("-trace path %q contains '|' or '+', which source specs reserve", *tracePath))
+		}
+		*srcSpec = *format + ":" + *tracePath
+	}
+
 	// A source spec runs through the sweep runner: one cell per mechanism,
 	// all sharing a single materialization of the spec.
 	if *srcSpec != "" {
-		if *tracePath != "" {
-			fatalUsage(fmt.Errorf("-source and -trace are mutually exclusive"))
-		}
 		// Parse now so a typo costs nothing (file heads also open here).
 		if _, err := hybridsched.ParseSource(*srcSpec); err != nil {
 			fatalUsage(err)
+		}
+		if *tracePath != "" && *format == "swf" {
+			swfSummary(*tracePath)
 		}
 		var specs []hybridsched.SweepSpec
 		for _, m := range mechList {
@@ -175,32 +190,6 @@ func main() {
 			specs = append(specs, sp)
 		}
 		runSweep(specs, sweepOpt, *out, *pol, *quiet)
-		return
-	}
-
-	// A fixed input trace can't go through the generator-driven sweep
-	// runner: replay it serially under each requested mechanism.
-	if *tracePath != "" {
-		if *out != "text" {
-			fatal(fmt.Errorf("-out %s requires generated workloads (drop -trace)", *out))
-		}
-		if *ckptDir != "" {
-			fatalUsage(fmt.Errorf("-checkpoint/-restore apply to sweeps; for a fixed trace use the Session Checkpoint/Restore API"))
-		}
-		records, err := readTrace(*tracePath, *format)
-		if err != nil {
-			fatal(err)
-		}
-		for i, m := range mechList {
-			if i > 0 {
-				fmt.Println()
-			}
-			rep, err := replay(simCfg(m), records, *mtbf, *repair, drains)
-			if err != nil {
-				fatal(err)
-			}
-			printReport(m, *pol, rep)
-		}
 		return
 	}
 
@@ -252,60 +241,20 @@ func runSweep(specs []hybridsched.SweepSpec, opt hybridsched.SweepOptions, out, 
 	}
 }
 
-// replay runs a fixed trace under cfg through a session, wiring in fault
-// injection and maintenance windows when requested (Simulate has no
-// availability knobs; without them this is exactly Simulate).
-func replay(cfg hybridsched.SimulationConfig, records []hybridsched.Record,
-	mtbf, repair time.Duration, drains []hybridsched.DrainSpec) (hybridsched.Report, error) {
-	opts := []hybridsched.Option{hybridsched.WithConfig(cfg)}
-	if mtbf > 0 {
-		// The failure timeline must cover the whole replay: span of the
-		// trace's submissions plus generous tail room for the queue to drain.
-		var span int64
-		for _, r := range records {
-			if r.Submit > span {
-				span = r.Submit
-			}
-		}
-		opts = append(opts, hybridsched.WithFaults(hybridsched.FaultConfig{
-			MTBF:       mtbf.Seconds(),
-			Seed:       1,
-			Horizon:    span + 4*7*24*hybridsched.Hour,
-			MeanRepair: repair.Seconds(),
-		}))
-	}
-	for _, d := range drains {
-		opts = append(opts, hybridsched.WithDrain(d.Start, d.Duration, d.Nodes))
-	}
-	s, err := hybridsched.NewSession(opts...)
-	if err != nil {
-		return hybridsched.Report{}, err
-	}
-	for _, r := range records {
-		if err := s.Submit(r); err != nil {
-			return hybridsched.Report{}, err
-		}
-	}
-	return s.Run()
-}
-
-// readTrace loads a fixed input trace in the native CSV or SWF schema. SWF
-// imports print their summary to stderr — every SWF job arrives rigid, and
-// the defaulted fields deserve a mention rather than silence.
-func readTrace(path, format string) ([]hybridsched.Record, error) {
+// swfSummary reads an SWF trace once up front to print its import summary:
+// every SWF job arrives rigid, and the defaulted fields deserve a mention
+// rather than silence.
+func swfSummary(path string) {
 	f, err := os.Open(path)
 	if err != nil {
-		return nil, err
+		fatal(err)
 	}
 	defer f.Close()
-	if format == "swf" {
-		records, sum, err := hybridsched.ReadSWFSummary(f)
-		if err == nil {
-			fmt.Fprintf(os.Stderr, "hybridsim: swf import: %s\n", sum)
-		}
-		return records, err
+	_, sum, err := hybridsched.ReadSWFSummary(f)
+	if err != nil {
+		fatal(err)
 	}
-	return hybridsched.ReadTraceCSV(f)
+	fmt.Fprintf(os.Stderr, "hybridsim: swf import: %s\n", sum)
 }
 
 // printReport writes the single-run metrics block.

@@ -1,10 +1,16 @@
 package main
 
 import (
+	"bytes"
+	"errors"
 	"os"
 	"os/exec"
+	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
+
+	"hybridsched"
 )
 
 // TestMain runs the command itself when HYBRIDSIM_TEST_ARGS is set, so a test
@@ -18,17 +24,29 @@ func TestMain(m *testing.M) {
 	os.Exit(m.Run())
 }
 
+// command returns hybridsim with args as a child process.
+func command(args ...string) *exec.Cmd {
+	cmd := exec.Command(os.Args[0])
+	cmd.Env = append(os.Environ(), "HYBRIDSIM_TEST_ARGS="+strings.Join(args, " "))
+	return cmd
+}
+
+// hybridsim runs the command with args and returns its standard output.
+func hybridsim(t *testing.T, args ...string) string {
+	t.Helper()
+	out, err := command(args...).Output()
+	if err != nil {
+		t.Fatalf("hybridsim %v: %v", args, err)
+	}
+	return string(out)
+}
+
 // breakdownLine runs hybridsim with args and returns the utilization
 // breakdown line of its report.
 func breakdownLine(t *testing.T, args ...string) string {
 	t.Helper()
-	cmd := exec.Command(os.Args[0])
-	cmd.Env = append(os.Environ(), "HYBRIDSIM_TEST_ARGS="+strings.Join(args, " "))
-	out, err := cmd.Output()
-	if err != nil {
-		t.Fatalf("hybridsim %v: %v", args, err)
-	}
-	for _, line := range strings.Split(string(out), "\n") {
+	out := hybridsim(t, args...)
+	for _, line := range strings.Split(out, "\n") {
 		if strings.Contains(line, "useful") {
 			return strings.TrimSpace(line)
 		}
@@ -52,5 +70,56 @@ func TestCkptZeroDisablesCheckpointing(t *testing.T) {
 	}
 	if strings.Contains(def, "ckpt 0.00%") {
 		t.Errorf("default -ckpt: %q, want checkpointing on", def)
+	}
+}
+
+// withoutLatency drops the wall-clock decision-latency lines of a text
+// report.
+func withoutLatency(report string) string {
+	var keep []string
+	for _, line := range strings.Split(report, "\n") {
+		if !strings.HasPrefix(line, "decision latency") {
+			keep = append(keep, line)
+		}
+	}
+	return strings.Join(keep, "\n")
+}
+
+// TestTraceRunsAsSourceCell: -trace PATH runs the source spec csv:PATH
+// through the sweep runner, so its text and CSV reports equal the -source
+// run's.
+func TestTraceRunsAsSourceCell(t *testing.T) {
+	recs, err := hybridsched.GenerateWorkload(hybridsched.WorkloadConfig{Seed: 5, Weeks: 1, Nodes: 512})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var csv bytes.Buffer
+	if err := hybridsched.WriteTraceCSV(&csv, recs); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "t.csv")
+	if err := os.WriteFile(path, csv.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, out := range []string{"text", "csv"} {
+		args := []string{"-nodes", "512", "-mechs", "baseline,CUA&SPAA", "-q", "-out", out}
+		trace := hybridsim(t, slices.Concat(args, []string{"-trace", path})...)
+		src := hybridsim(t, slices.Concat(args, []string{"-source", "csv:" + path})...)
+		if out == "text" {
+			trace, src = withoutLatency(trace), withoutLatency(src)
+		}
+		if trace != src {
+			t.Errorf("-out %s: -trace printed\n%s\n-source printed\n%s", out, trace, src)
+		}
+	}
+}
+
+// TestUnknownTraceFormatIsUsageError: -format names a trace reader, and an
+// unknown one exits 2 before any work, as an unknown scheduler does.
+func TestUnknownTraceFormatIsUsageError(t *testing.T) {
+	err := command("-trace", "t.json", "-format", "json").Run()
+	var exit *exec.ExitError
+	if !errors.As(err, &exit) || exit.ExitCode() != 2 {
+		t.Fatalf("-format json: %v, want exit status 2", err)
 	}
 }

@@ -50,51 +50,20 @@ func main() {
 		os.Exit(runValidate(*validate, *dialect))
 	}
 
-	if *summarize {
-		// Characterization is streaming: the pipeline is drained record by
-		// record, so a multi-month corpus profiles in constant memory.
-		var stream tracecorpus.Stream
-		if *srcSpec != "" {
-			src, err := hybridsched.ParseSource(*srcSpec)
-			if err != nil {
-				fatal(err)
-			}
-			stream = src
-		} else {
-			mix, merr := hybridsched.MixByName(*mixName)
-			if merr != nil {
-				fatal(fmt.Errorf("%v (want W1..W5)", merr))
-			}
-			stream = hybridsched.Synthetic(hybridsched.WorkloadConfig{
-				Seed:       *seed,
-				Weeks:      *weeks,
-				Nodes:      *nodes,
-				Mix:        mix,
-				TargetLoad: *load,
-			})
-		}
-		p, err := tracecorpus.Characterize(stream)
-		if err != nil {
+	// Every output reads one workload stream: the source spec when given,
+	// the calibrated generator otherwise.
+	var src hybridsched.Source
+	if *srcSpec != "" {
+		var err error
+		if src, err = hybridsched.ParseSource(*srcSpec); err != nil {
 			fatal(err)
 		}
-		p.Render(outWriter(*out))
-		return
-	}
-
-	var records []hybridsched.Record
-	var err error
-	if *srcSpec != "" {
-		src, perr := hybridsched.ParseSource(*srcSpec)
-		if perr != nil {
-			fatal(perr)
-		}
-		records, err = hybridsched.ReadAllSource(src)
 	} else {
-		mix, merr := hybridsched.MixByName(*mixName)
-		if merr != nil {
-			fatal(fmt.Errorf("%v (want W1..W5)", merr))
+		mix, err := hybridsched.MixByName(*mixName)
+		if err != nil {
+			fatal(fmt.Errorf("%v (want W1..W5)", err))
 		}
-		records, err = hybridsched.GenerateWorkload(hybridsched.WorkloadConfig{
+		src = hybridsched.Synthetic(hybridsched.WorkloadConfig{
 			Seed:       *seed,
 			Weeks:      *weeks,
 			Nodes:      *nodes,
@@ -102,27 +71,32 @@ func main() {
 			TargetLoad: *load,
 		})
 	}
-	if err != nil {
-		fatal(err)
-	}
 
-	w := outWriter(*out)
-
-	if *summary {
-		counts := map[hybridsched.JobClass]int{}
-		var nodeHours float64
-		for _, r := range records {
-			counts[r.Class]++
-			nodeHours += float64(r.Size) * float64(r.Work) / 3600
+	if *summarize || *summary {
+		// Characterization is streaming: the pipeline is drained record by
+		// record, so a multi-month corpus profiles in constant memory.
+		p, err := tracecorpus.Characterize(src)
+		if err != nil {
+			fatal(err)
 		}
-		fmt.Fprintf(w, "jobs:       %d\n", len(records))
-		fmt.Fprintf(w, "rigid:      %d\n", counts[hybridsched.Rigid])
-		fmt.Fprintf(w, "on-demand:  %d\n", counts[hybridsched.OnDemand])
-		fmt.Fprintf(w, "malleable:  %d\n", counts[hybridsched.Malleable])
-		fmt.Fprintf(w, "node-hours: %.0f\n", nodeHours)
+		w := outWriter(*out)
+		if *summarize {
+			p.Render(w)
+			return
+		}
+		fmt.Fprintf(w, "jobs:       %d\n", p.Jobs)
+		fmt.Fprintf(w, "rigid:      %d\n", p.Classes[hybridsched.Rigid])
+		fmt.Fprintf(w, "on-demand:  %d\n", p.Classes[hybridsched.OnDemand])
+		fmt.Fprintf(w, "malleable:  %d\n", p.Classes[hybridsched.Malleable])
+		fmt.Fprintf(w, "node-hours: %.0f\n", p.NodeHours)
 		return
 	}
 
+	records, err := hybridsched.ReadAllSource(src)
+	if err != nil {
+		fatal(err)
+	}
+	w := outWriter(*out)
 	switch *format {
 	case "csv":
 		err = hybridsched.WriteTraceCSV(w, records)

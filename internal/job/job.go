@@ -41,6 +41,17 @@ func (c Class) String() string {
 	return fmt.Sprintf("class(%d)", int(c))
 }
 
+// ParseClass inverts String: it returns the class named s, and false when s
+// names none.
+func ParseClass(s string) (Class, bool) {
+	for _, c := range []Class{Rigid, OnDemand, Malleable} {
+		if s == c.String() {
+			return c, true
+		}
+	}
+	return 0, false
+}
+
 // NoticeCategory classifies how an on-demand job's advance notice relates to
 // its actual arrival (paper Fig. 1).
 type NoticeCategory int
@@ -66,6 +77,17 @@ func (n NoticeCategory) String() string {
 		return "late"
 	}
 	return fmt.Sprintf("notice(%d)", int(n))
+}
+
+// ParseNotice inverts String: it returns the category labelled s, and false
+// when s labels none.
+func ParseNotice(s string) (NoticeCategory, bool) {
+	for _, n := range []NoticeCategory{NoNotice, AccurateNotice, ArriveEarly, ArriveLate} {
+		if s == n.String() {
+			return n, true
+		}
+	}
+	return 0, false
 }
 
 // State is the lifecycle state of a job.

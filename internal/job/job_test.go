@@ -438,3 +438,28 @@ func TestMalleablePreemptionOverheadIsSetup(t *testing.T) {
 		t.Fatalf("malleable overhead %d, want setup 37", got)
 	}
 }
+
+// TestParseClassNoticeRoundTrip: ParseClass and ParseNotice invert String
+// over every class and notice category, and refuse every other label.
+func TestParseClassNoticeRoundTrip(t *testing.T) {
+	for _, c := range []Class{Rigid, OnDemand, Malleable} {
+		if got, ok := ParseClass(c.String()); !ok || got != c {
+			t.Errorf("ParseClass(%q) = %v, %v", c.String(), got, ok)
+		}
+	}
+	for _, n := range []NoticeCategory{NoNotice, AccurateNotice, ArriveEarly, ArriveLate} {
+		if got, ok := ParseNotice(n.String()); !ok || got != n {
+			t.Errorf("ParseNotice(%q) = %v, %v", n.String(), got, ok)
+		}
+	}
+	for _, s := range []string{"", "Rigid", "ondemand", Class(3).String()} {
+		if _, ok := ParseClass(s); ok {
+			t.Errorf("ParseClass(%q) accepted", s)
+		}
+	}
+	for _, s := range []string{"", "none", "Late", NoticeCategory(4).String()} {
+		if _, ok := ParseNotice(s); ok {
+			t.Errorf("ParseNotice(%q) accepted", s)
+		}
+	}
+}

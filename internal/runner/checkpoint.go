@@ -4,8 +4,11 @@ import (
 	"encoding/json"
 	"fmt"
 	"hash/fnv"
+	"io"
 	"os"
 	"path/filepath"
+	"reflect"
+	"strconv"
 
 	"hybridsched/internal/metrics"
 	"hybridsched/internal/sim"
@@ -37,12 +40,81 @@ func (o Options) ckpt() *ckptState {
 	return &ckptState{dir: o.CheckpointDir, every: every, resume: o.Resume}
 }
 
-// cellID names a cell's checkpoint files: a stable hash of the fully resolved
-// spec, so any knob change — policy, node count, drains, fault process —
-// yields fresh files instead of resuming foreign state.
+// cellKeyVersion heads every cell key. Bump it only to rename every cell
+// file on purpose, when an existing key must stop matching its old files.
+const cellKeyVersion = "cell/v1"
+
+// cellID names a cell's checkpoint files: a stable hash of the version tag
+// and the fully resolved spec, written field by field under fixed names, so
+// any knob change — policy, node count, drains, fault process — yields fresh
+// files instead of resuming foreign state. Zero values are left out, so a
+// field added later changes no existing key while it stays zero; renaming
+// or reordering the Go fields changes none either.
 func cellID(s Spec) string {
 	h := fnv.New64a()
-	fmt.Fprintf(h, "%+v", s)
+	io.WriteString(h, cellKeyVersion)
+	// add writes one "name=value" line, leaving out zero values and empty
+	// slices. Strings are quoted, so no value can forge another field's line.
+	add := func(name string, v any) {
+		rv := reflect.ValueOf(v)
+		if rv.IsZero() || (rv.Kind() == reflect.Slice && rv.Len() == 0) {
+			return
+		}
+		if rv.Kind() == reflect.String {
+			v = strconv.Quote(rv.String())
+		}
+		fmt.Fprintf(h, "\n%s=%v", name, v)
+	}
+	add("group", s.Group)
+	add("variant", s.Variant)
+	add("mechanism", s.Mechanism)
+	add("policy", s.Policy)
+	add("nodes", s.Nodes)
+	add("source", s.Source)
+	w := s.Workload
+	add("workload.seed", w.Seed)
+	add("workload.nodes", w.Nodes)
+	add("workload.weeks", w.Weeks)
+	add("workload.span", w.Span)
+	add("workload.projects", w.Projects)
+	add("workload.target_load", w.TargetLoad)
+	add("workload.min_job_size", w.MinJobSize)
+	add("workload.max_runtime", w.MaxRuntime)
+	add("workload.min_runtime", w.MinRuntime)
+	add("workload.size_weights", w.SizeWeights)
+	add("workload.size_buckets", w.SizeBuckets)
+	add("workload.runtime_median", w.RuntimeMedian)
+	add("workload.runtime_sigma", w.RuntimeSigma)
+	add("workload.ondemand_project_frac", w.OnDemandProjectFrac)
+	add("workload.rigid_project_frac", w.RigidProjectFrac)
+	add("workload.mix", w.Mix)
+	add("workload.notice_lead_min", w.NoticeLeadMin)
+	add("workload.notice_lead_max", w.NoticeLeadMax)
+	add("workload.late_window", w.LateWindow)
+	add("workload.ondemand_max_gen", w.OnDemandMaxGen)
+	add("workload.malleable_min_frac", w.MalleableMinFrac)
+	add("workload.rigid_setup_min", w.RigidSetupMin)
+	add("workload.rigid_setup_max", w.RigidSetupMax)
+	add("workload.malleable_setup_min", w.MalleableSetupMin)
+	add("workload.malleable_setup_max", w.MalleableSetupMax)
+	add("workload.jobs_per_session", w.JobsPerSession)
+	add("workload.ondemand_jobs_per_session", w.OnDemandJobsPerSession)
+	add("core.release_threshold", s.Core.ReleaseThreshold)
+	add("core.directed_return", s.Core.DirectedReturn)
+	add("core.backfill_reserved", s.Core.BackfillReserved)
+	add("mtbf", s.MTBF)
+	add("ckpt_freq_mult", s.CkptFreqMult)
+	add("validate", s.Validate)
+	add("fault.mtbf", s.FaultMTBF)
+	add("fault.repair", s.FaultMeanRepair)
+	add("fault.seed", s.FaultSeed)
+	add("fault.horizon", s.FaultHorizon)
+	for i, d := range s.Drains {
+		p := fmt.Sprintf("drain%d.", i)
+		add(p+"start", d.Start)
+		add(p+"duration", d.Duration)
+		add(p+"nodes", d.Nodes)
+	}
 	return fmt.Sprintf("%016x", h.Sum64())
 }
 

@@ -1,10 +1,13 @@
 package runner
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
+	"hybridsched/internal/core"
 	"hybridsched/internal/simtime"
 	"hybridsched/internal/workload"
 )
@@ -245,4 +248,116 @@ func TestResumeIgnoresForeignSnapshot(t *testing.T) {
 	}
 
 	checkResumedRun(t, specs, dir, wantJSON, wantCSV)
+}
+
+// keyedSpec sets every field of Spec, of its Workload and Core, and of one
+// drain to a non-zero value.
+func keyedSpec() Spec {
+	return Spec{
+		Group: "fig6", Variant: "W2", Mechanism: "CUA&SPAA", Policy: "sjf", Nodes: 512,
+		Source: "csv:t.csv|scale:1.2",
+		Workload: workload.Config{
+			Seed: 7, Nodes: 512, Weeks: 2, Span: 2 * simtime.Week, Projects: 40,
+			TargetLoad: 0.9, MinJobSize: 16, MaxRuntime: simtime.Day, MinRuntime: 600,
+			SizeWeights: []float64{0.6, 0.4}, SizeBuckets: []int{16, 32},
+			RuntimeMedian: 2400, RuntimeSigma: 1.1,
+			OnDemandProjectFrac: 0.1, RigidProjectFrac: 0.6,
+			Mix: workload.W2, NoticeLeadMin: 900, NoticeLeadMax: 1800, LateWindow: 1800,
+			OnDemandMaxGen: 256, MalleableMinFrac: 0.2,
+			RigidSetupMin: 0.05, RigidSetupMax: 0.1,
+			MalleableSetupMin: 0.01, MalleableSetupMax: 0.05,
+			JobsPerSession: 5, OnDemandJobsPerSession: 10,
+		},
+		Core:         core.Config{ReleaseThreshold: 600, DirectedReturn: true, BackfillReserved: true},
+		MTBF:         24 * 3600,
+		CkptFreqMult: 0.5,
+		Validate:     true,
+		FaultMTBF:    6 * 3600, FaultMeanRepair: 3600, FaultSeed: 3, FaultHorizon: 6 * simtime.Week,
+		Drains: []DrainSpec{{Start: simtime.Day, Duration: 4 * 3600, Nodes: 128}},
+	}
+}
+
+// TestCellIDGolden pins the checkpoint file key of a fully populated spec and
+// of a sparse one. A change to either renames existing cell files, and a
+// resumed sweep would then silently rerun every cell from scratch.
+func TestCellIDGolden(t *testing.T) {
+	cases := []struct {
+		name string
+		spec Spec
+		want string
+	}{
+		{"full", keyedSpec(), "ac99e0f587f7b6dd"},
+		{"sparse", Spec{Mechanism: "baseline", Policy: "fcfs", Nodes: 512, Workload: workload.Config{Seed: 1}}, "378771d46dd773af"},
+	}
+	for _, tc := range cases {
+		if got := cellID(tc.spec); got != tc.want {
+			t.Errorf("%s: cellID = %s, want %s", tc.name, got, tc.want)
+		}
+	}
+}
+
+// TestCellIDCoversEverySpecField: changing any field of a populated spec —
+// the fields of its Workload, Core and drains included — changes its key, so
+// a field added to Spec fails here until cellID writes it.
+func TestCellIDCoversEverySpecField(t *testing.T) {
+	base := cellID(keyedSpec())
+	var paths []string
+	specLeaves(reflect.ValueOf(keyedSpec()), "Spec", func(path string, _ reflect.Value) {
+		paths = append(paths, path)
+	})
+	for i, path := range paths {
+		s := keyedSpec()
+		n := 0
+		specLeaves(reflect.ValueOf(&s).Elem(), "Spec", func(_ string, v reflect.Value) {
+			if n == i {
+				bumpLeaf(t, path, v)
+			}
+			n++
+		})
+		if cellID(s) == base {
+			t.Errorf("cellID ignores %s", path)
+		}
+	}
+	if len(paths) < 40 {
+		t.Fatalf("walked only %d fields: %v", len(paths), paths)
+	}
+}
+
+// specLeaves calls f with every non-struct field below v, walking into
+// structs and into each element of a slice of structs.
+func specLeaves(v reflect.Value, path string, f func(string, reflect.Value)) {
+	switch {
+	case v.Kind() == reflect.Struct:
+		for i := 0; i < v.NumField(); i++ {
+			specLeaves(v.Field(i), path+"."+v.Type().Field(i).Name, f)
+		}
+	case v.Kind() == reflect.Slice && v.Type().Elem().Kind() == reflect.Struct:
+		for i := 0; i < v.Len(); i++ {
+			specLeaves(v.Index(i), fmt.Sprintf("%s[%d]", path, i), f)
+		}
+	default:
+		f(path, v)
+	}
+}
+
+// bumpLeaf changes a field to a different value: a slice or array through
+// its first element (an empty slice gains one).
+func bumpLeaf(t *testing.T, path string, v reflect.Value) {
+	switch v.Kind() {
+	case reflect.Int, reflect.Int64:
+		v.SetInt(v.Int() + 1)
+	case reflect.Float64:
+		v.SetFloat(v.Float() + 0.25)
+	case reflect.String:
+		v.SetString(v.String() + "x")
+	case reflect.Bool:
+		v.SetBool(!v.Bool())
+	case reflect.Slice, reflect.Array:
+		if v.Len() == 0 {
+			v.Set(reflect.MakeSlice(v.Type(), 1, 1))
+		}
+		bumpLeaf(t, path, v.Index(0))
+	default:
+		t.Fatalf("%s: no way to change a %s field", path, v.Kind())
+	}
 }

@@ -1,12 +1,12 @@
 package server
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
 	"strconv"
-	"strings"
 	"time"
 
 	"hybridsched"
@@ -39,29 +39,15 @@ type wireJob struct {
 
 // record converts the wire form to a validated-on-submit Record.
 func (j wireJob) record() (hybridsched.Record, error) {
-	var class job.Class
-	switch j.Class {
-	case "rigid":
-		class = job.Rigid
-	case "on-demand":
-		class = job.OnDemand
-	case "malleable":
-		class = job.Malleable
-	default:
+	class, ok := job.ParseClass(j.Class)
+	if !ok {
 		return hybridsched.Record{}, fmt.Errorf("job %d: unknown class %q (want rigid, on-demand, or malleable)", j.ID, j.Class)
 	}
-	var notice job.NoticeCategory
-	switch j.Notice {
-	case "", "no-notice":
-		notice = job.NoNotice
-	case "accurate":
-		notice = job.AccurateNotice
-	case "early":
-		notice = job.ArriveEarly
-	case "late":
-		notice = job.ArriveLate
-	default:
-		return hybridsched.Record{}, fmt.Errorf("job %d: unknown notice %q", j.ID, j.Notice)
+	notice := job.NoNotice
+	if j.Notice != "" {
+		if notice, ok = job.ParseNotice(j.Notice); !ok {
+			return hybridsched.Record{}, fmt.Errorf("job %d: unknown notice %q", j.ID, j.Notice)
+		}
 	}
 	r := hybridsched.Record{
 		ID: j.ID, Project: j.Project, Class: class,
@@ -336,14 +322,22 @@ func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
 		writeError(w, fmt.Errorf("bad request body: %w", err))
 		return
 	}
-	// Accept one job object or an array of them.
+	// Accept one job object or an array of them. Unknown fields are refused,
+	// as decodeBody refuses them (a misspelled "sumbit" would otherwise
+	// submit the job at t=0), and so is data after the value.
+	dec := json.NewDecoder(bytes.NewReader(body))
+	dec.DisallowUnknownFields()
 	var jobs []wireJob
-	if trimmed := strings.TrimSpace(string(body)); strings.HasPrefix(trimmed, "[") {
-		err = json.Unmarshal(body, &jobs)
+	if trimmed := bytes.TrimSpace(body); len(trimmed) > 0 && trimmed[0] == '[' {
+		err = dec.Decode(&jobs)
 	} else {
-		var one wireJob
-		err = json.Unmarshal(body, &one)
-		jobs = []wireJob{one}
+		jobs = make([]wireJob, 1)
+		err = dec.Decode(&jobs[0])
+	}
+	if err == nil {
+		if _, tail := dec.Token(); tail != io.EOF {
+			err = fmt.Errorf("data after the JSON value")
+		}
 	}
 	if err != nil {
 		writeError(w, fmt.Errorf("bad job body: %w", err))
@@ -490,18 +484,23 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	// Subscribing mutates the session (installs the engine sink), so it goes
-	// through the actor; the returned channel and the DroppedEvents counter
-	// are safe to use from this handler goroutine afterwards.
+	// through the actor; the returned channel, the DroppedEvents counter and
+	// CloseEvents are safe to use from this handler goroutine afterwards.
 	var ch <-chan hybridsched.Event
 	var dropped func() int
+	var detach func(<-chan hybridsched.Event)
 	if err := a.do(func(sess *hybridsched.Session) error {
 		ch = sess.Events()
 		dropped = sess.DroppedEvents
+		detach = sess.CloseEvents
 		return nil
 	}); err != nil {
 		writeError(w, err)
 		return
 	}
+	// A departed client detaches its channel, so drops counted from then on
+	// are drops a live consumer suffered.
+	defer detach(ch)
 
 	w.Header().Set("Content-Type", "text/event-stream")
 	w.Header().Set("Cache-Control", "no-cache")
@@ -513,9 +512,6 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	}
 	emit("hello", map[string]string{"session": a.spec.ID, "tenant": a.spec.Tenant})
 
-	// There is no per-channel unsubscribe: when this client departs, the
-	// channel stays attached and simply overflows (events to it are dropped
-	// and counted), which is exactly the documented slow-consumer behavior.
 	lastDrops := dropped()
 	keepalive := time.NewTicker(15 * time.Second)
 	defer keepalive.Stop()

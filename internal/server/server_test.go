@@ -6,11 +6,13 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"hybridsched"
 )
@@ -178,6 +180,33 @@ func TestCreateFromSource(t *testing.T) {
 // TestSSEEvents subscribes to a session's event stream and verifies the
 // typed scheduling events of a submitted job arrive over SSE, and that
 // deleting the session ends the stream with an eof event.
+// sseFrame is one event of an SSE stream.
+type sseFrame struct{ event, data string }
+
+// sseFrames collects the (event, data) frames of an SSE stream in the
+// background; the channel closes when the stream ends.
+func sseFrames(body io.Reader) <-chan sseFrame {
+	frames := make(chan sseFrame, 64)
+	go func() {
+		defer close(frames)
+		sc := bufio.NewScanner(body)
+		var cur sseFrame
+		for sc.Scan() {
+			line := sc.Text()
+			switch {
+			case strings.HasPrefix(line, "event: "):
+				cur.event = strings.TrimPrefix(line, "event: ")
+			case strings.HasPrefix(line, "data: "):
+				cur.data = strings.TrimPrefix(line, "data: ")
+			case line == "" && cur.event != "":
+				frames <- cur
+				cur = sseFrame{}
+			}
+		}
+	}()
+	return frames
+}
+
 func TestSSEEvents(t *testing.T) {
 	_, ts := testServer(t, Quotas{}, "")
 	var info sessionInfo
@@ -195,27 +224,7 @@ func TestSSEEvents(t *testing.T) {
 		t.Fatalf("Content-Type = %q", ct)
 	}
 
-	// Collect (event, data) pairs in the background.
-	type sse struct{ event, data string }
-	events := make(chan sse, 64)
-	go func() {
-		defer close(events)
-		sc := bufio.NewScanner(resp.Body)
-		var cur sse
-		for sc.Scan() {
-			line := sc.Text()
-			switch {
-			case strings.HasPrefix(line, "event: "):
-				cur.event = strings.TrimPrefix(line, "event: ")
-			case strings.HasPrefix(line, "data: "):
-				cur.data = strings.TrimPrefix(line, "data: ")
-			case line == "" && cur.event != "":
-				events <- cur
-				cur = sse{}
-			}
-		}
-	}()
-
+	events := sseFrames(resp.Body)
 	if first := <-events; first.event != "hello" || !strings.Contains(first.data, info.ID) {
 		t.Fatalf("first SSE event = %+v, want hello for %s", first, info.ID)
 	}
@@ -474,6 +483,144 @@ func TestBadInputs(t *testing.T) {
 	}
 	if code := call(t, "POST", base+"/checkpoint", nil, nil); code != http.StatusBadRequest {
 		t.Errorf("checkpoint without state dir: status %d", code)
+	}
+}
+
+// TestJobBodyRefusesUnknownFields: a misspelled job field is a 400 in the
+// object form and in the array form, as in create and advance bodies, and
+// so is data after the JSON value; none of these submits anything.
+func TestJobBodyRefusesUnknownFields(t *testing.T) {
+	_, ts := testServer(t, Quotas{}, "")
+	var info sessionInfo
+	if code := call(t, "POST", ts.URL+"/v1/sessions", createRequest{Tenant: "alice", Nodes: 64}, &info); code != http.StatusCreated {
+		t.Fatalf("create: status %d", code)
+	}
+	base := ts.URL + "/v1/sessions/" + info.ID
+	post := func(body string) int {
+		resp, err := http.Post(base+"/jobs", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+	const job = `{"id":1,"class":"rigid","submit":600,"size":4,"work":60}`
+	for _, body := range []string{
+		`{"id":1,"class":"rigid","sumbit":600,"size":4,"work":60}`,
+		`[` + job + `,{"id":2,"class":"rigid","sumbit":600,"size":4,"work":60}]`,
+		job + ` {"id":2}`,
+	} {
+		if code := post(body); code != http.StatusBadRequest {
+			t.Errorf("%s: status %d, want 400", body, code)
+		}
+	}
+	if call(t, "GET", base, nil, &info); info.Submitted != 0 {
+		t.Fatalf("refused bodies submitted %d jobs", info.Submitted)
+	}
+	if code := post(" " + job + "\n"); code != http.StatusAccepted {
+		t.Errorf("well-formed job: status %d, want 202", code)
+	}
+}
+
+// TestSSEDetachesDepartedClients: a client that leaves the event stream
+// detaches its channel, so later clients see no drops that only departed
+// clients suffered. Three clients connect and leave; a fourth that keeps up
+// then streams more events than one channel buffers without a dropped frame.
+func TestSSEDetachesDepartedClients(t *testing.T) {
+	srv, err := New(Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A server connection reaches StateClosed only after its handler has
+	// returned, so counting closes tells when the departed clients' handlers
+	// are done.
+	closed := make(chan struct{}, 16)
+	ts := httptest.NewUnstartedServer(srv.Handler())
+	ts.Config.ConnState = func(_ net.Conn, st http.ConnState) {
+		if st == http.StateClosed {
+			select {
+			case closed <- struct{}{}:
+			default:
+			}
+		}
+	}
+	ts.Start()
+	t.Cleanup(func() {
+		ts.Close()
+		srv.Close()
+	})
+	var info sessionInfo
+	if code := call(t, "POST", ts.URL+"/v1/sessions", createRequest{Tenant: "alice", Nodes: 64}, &info); code != http.StatusCreated {
+		t.Fatalf("create: status %d", code)
+	}
+	base := ts.URL + "/v1/sessions/" + info.ID
+
+	for i := 0; i < 3; i++ {
+		tr := &http.Transport{}
+		resp, err := (&http.Client{Transport: tr}).Get(base + "/events")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if first := <-sseFrames(resp.Body); first.event != "hello" {
+			t.Fatalf("client %d: first frame %+v, want hello", i, first)
+		}
+		resp.Body.Close()
+		tr.CloseIdleConnections()
+	}
+	for i := 0; i < 3; i++ {
+		select {
+		case <-closed:
+		case <-time.After(10 * time.Second):
+			t.Fatalf("%d of 3 departed event streams still open", 3-i)
+		}
+	}
+
+	resp, err := http.Get(base + "/events")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	frames := sseFrames(resp.Body)
+	if first := <-frames; first.event != "hello" {
+		t.Fatalf("first frame %+v, want hello", first)
+	}
+	// Three batches of 500 one-minute jobs make three events each: 4,500 in
+	// all, against a 4,096-event channel buffer. Each batch is read to its
+	// last job's end before the next is sent, so this client keeps up.
+	const batch = 500
+	streamed := 0
+	for b := 0; b < 3; b++ {
+		start := int64(b) * 10000
+		jobs := make([]map[string]any, batch)
+		for i := range jobs {
+			jobs[i] = rigidJob(b*batch+i+1, start+int64(i)*10, 1, 60)
+		}
+		if code := call(t, "POST", base+"/jobs", jobs, nil); code != http.StatusAccepted {
+			t.Fatalf("batch %d: submit status %d", b, code)
+		}
+		if code := call(t, "POST", base+"/advance", advanceRequest{Until: start + 9000}, nil); code != http.StatusOK {
+			t.Fatalf("batch %d: advance status %d", b, code)
+		}
+		for last := false; !last; {
+			f, open := <-frames
+			if !open {
+				t.Fatalf("stream ended after %d events", streamed)
+			}
+			switch f.event {
+			case "dropped":
+				t.Fatalf("dropped frame %s after %d events, with no consumer behind", f.data, streamed)
+			case "sched":
+				streamed++
+				var we wireEvent
+				if err := json.Unmarshal([]byte(f.data), &we); err != nil {
+					t.Fatal(err)
+				}
+				last = we.Type == "end" && we.Job == (b+1)*batch
+			}
+		}
+	}
+	if streamed <= 4096 {
+		t.Fatalf("streamed %d events, want more than a channel buffers", streamed)
 	}
 }
 

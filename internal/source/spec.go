@@ -377,15 +377,8 @@ func parseFilterArgs(arg string) (func(trace.Record) bool, error) {
 		k, v := kv[0], kv[1]
 		switch k {
 		case "class":
-			var class job.Class
-			switch v {
-			case "rigid":
-				class = job.Rigid
-			case "on-demand":
-				class = job.OnDemand
-			case "malleable":
-				class = job.Malleable
-			default:
+			class, ok := job.ParseClass(v)
+			if !ok {
 				return nil, fmt.Errorf("source: filter class %q (valid: rigid, on-demand, malleable)", v)
 			}
 			preds = append(preds, func(r trace.Record) bool { return r.Class == class })

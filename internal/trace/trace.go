@@ -238,14 +238,8 @@ func parseCSVRow(row []string) (Record, error) {
 	}
 	r.ID = geti(row[0])
 	r.Project = geti(row[1])
-	switch row[2] {
-	case "rigid":
-		r.Class = job.Rigid
-	case "on-demand":
-		r.Class = job.OnDemand
-	case "malleable":
-		r.Class = job.Malleable
-	default:
+	var ok bool
+	if r.Class, ok = job.ParseClass(row[2]); !ok {
 		return r, fmt.Errorf("unknown class %q", row[2])
 	}
 	r.Submit = get64(row[3])
@@ -254,16 +248,7 @@ func parseCSVRow(row []string) (Record, error) {
 	r.Work = get64(row[6])
 	r.Estimate = get64(row[7])
 	r.Setup = get64(row[8])
-	switch row[9] {
-	case "no-notice":
-		r.Notice = job.NoNotice
-	case "accurate":
-		r.Notice = job.AccurateNotice
-	case "early":
-		r.Notice = job.ArriveEarly
-	case "late":
-		r.Notice = job.ArriveLate
-	default:
+	if r.Notice, ok = job.ParseNotice(row[9]); !ok {
 		return r, fmt.Errorf("unknown notice category %q", row[9])
 	}
 	r.NoticeTime = get64(row[10])

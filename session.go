@@ -2,6 +2,7 @@ package hybridsched
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 
 	"hybridsched/internal/checkpoint"
@@ -367,9 +368,9 @@ const eventChanBuffer = 4096
 // A Session is not safe for concurrent use: Submit, Step, RunUntil, Run,
 // Snapshot, and Events must be called from one goroutine. The exceptions are
 // the event-consumption surface: the channels Events returns may be drained
-// from any goroutine, and Close and DroppedEvents may be called from any
-// goroutine — including concurrently with a run in progress and with readers
-// blocked on an Events channel (they observe the close and drain out).
+// from any goroutine, and Close, CloseEvents and DroppedEvents may be called
+// from any goroutine — including concurrently with a run in progress and with
+// readers blocked on an Events channel (they observe the close and drain out).
 type Session struct {
 	eng    *sim.Engine
 	plan   func(size int) checkpoint.Plan
@@ -770,6 +771,8 @@ func jobStatus(j *Job) JobStatus {
 //
 // Events must be called from the goroutine driving the session (it installs
 // the engine sink); the returned channel may be drained from any goroutine.
+// A consumer that stops reading before the session ends should detach its
+// channel with CloseEvents, or the full buffer counts a drop per event.
 func (s *Session) Events() <-chan Event {
 	ch := make(chan Event, eventChanBuffer)
 	s.evMu.Lock()
@@ -782,6 +785,22 @@ func (s *Session) Events() <-chan Event {
 	s.evMu.Unlock()
 	s.installSink()
 	return ch
+}
+
+// CloseEvents detaches one channel returned by Events and closes it: the
+// session stops delivering to it, so a consumer that leaves stops holding a
+// buffer and stops counting drops. A channel already closed or detached is
+// left alone. Safe to call from any goroutine, as Close is.
+func (s *Session) CloseEvents(ch <-chan Event) {
+	s.evMu.Lock()
+	defer s.evMu.Unlock()
+	for i, c := range s.chans {
+		if c == ch {
+			s.chans = slices.Delete(s.chans, i, i+1)
+			close(c)
+			return
+		}
+	}
 }
 
 // DroppedEvents reports how many events were discarded because an Events

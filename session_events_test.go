@@ -115,6 +115,49 @@ func TestCloseConcurrent(t *testing.T) {
 	}
 }
 
+// TestCloseEventsDetachesOneChannel: CloseEvents closes the one channel it
+// is given, from another goroutine while the run is in progress, and that
+// channel counts no drops afterwards; the other channels keep receiving.
+// Closing it again is a no-op.
+func TestCloseEventsDetachesOneChannel(t *testing.T) {
+	all := 0
+	s := mustSession(t, WithNodes(4096), WithMechanism("baseline"),
+		WithObserver(ObserverFunc(func(Event) { all++ })))
+	for i := 1; i <= 2000; i++ {
+		r := Record{ID: i, Class: Rigid, Submit: int64(i), Size: 1, Work: 60, Estimate: 120}
+		if err := s.Submit(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	left, kept := s.Events(), s.Events()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		s.CloseEvents(left)
+	}()
+	if err := s.RunUntil(10); err != nil {
+		t.Fatal(err)
+	}
+	<-done
+	s.CloseEvents(left)
+	if _, err := s.Run(); err != nil {
+		t.Fatal(err)
+	}
+	for range left { // closed by CloseEvents, after what reached it before
+	}
+	n := 0
+	for range kept {
+		n++
+	}
+	if n != eventChanBuffer {
+		t.Fatalf("kept channel received %d events, want its %d-slot buffer", n, eventChanBuffer)
+	}
+	// Only the kept channel overflowed: the detached one stopped counting.
+	if got, want := s.DroppedEvents(), all-eventChanBuffer; got != want {
+		t.Fatalf("DroppedEvents() = %d, want %d", got, want)
+	}
+}
+
 // mustSession builds a session or fails the test.
 func mustSession(t *testing.T, opts ...Option) *Session {
 	t.Helper()

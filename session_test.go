@@ -33,43 +33,52 @@ func equivWorkload(mix NoticeMix) WorkloadConfig {
 
 // TestSessionGoldenEquivalence: a Session with the whole trace pre-submitted
 // and Run() must produce a Report byte-identical (via JSON, wall-clock
-// fields excluded) to Simulate, for every mechanism under every Table III
-// notice mix.
+// fields excluded) to the RunSweep cell built from the same workload config,
+// for every mechanism under every Table III notice mix. NewSession and the
+// sweep runner's cell builder are the two places where a named
+// configuration becomes an engine, so each is the other's oracle.
 func TestSessionGoldenEquivalence(t *testing.T) {
 	mixes := []struct {
 		name string
 		mix  NoticeMix
 	}{{"W1", W1}, {"W2", W2}, {"W3", W3}, {"W4", W4}, {"W5", W5}}
+	var specs []SweepSpec
 	for _, m := range mixes {
-		records, err := GenerateWorkload(equivWorkload(m.mix))
-		if err != nil {
-			t.Fatal(err)
-		}
 		for _, mech := range Mechanisms() {
-			t.Run(m.name+"/"+mech, func(t *testing.T) {
-				cfg := SimulationConfig{Nodes: 512, Mechanism: mech}
-				legacy, err := Simulate(cfg, records)
-				if err != nil {
-					t.Fatal(err)
-				}
-				s, err := NewSession(WithNodes(512), WithMechanism(mech))
-				if err != nil {
-					t.Fatal(err)
-				}
-				for _, r := range records {
-					if err := s.Submit(r); err != nil {
-						t.Fatal(err)
-					}
-				}
-				got, err := s.Run()
-				if err != nil {
-					t.Fatal(err)
-				}
-				if canonicalJSON(t, got) != canonicalJSON(t, legacy) {
-					t.Errorf("session report differs from Simulate")
-				}
+			specs = append(specs, SweepSpec{
+				Label:    m.name + "/" + mech,
+				Workload: equivWorkload(m.mix),
+				Sim:      SimulationConfig{Nodes: 512, Mechanism: mech},
 			})
 		}
+	}
+	sweep, err := RunSweep(specs, SweepOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, sp := range specs {
+		t.Run(sp.Label, func(t *testing.T) {
+			records, err := GenerateWorkload(sp.Workload)
+			if err != nil {
+				t.Fatal(err)
+			}
+			s, err := NewSession(WithNodes(512), WithMechanism(sp.Sim.Mechanism))
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, r := range records {
+				if err := s.Submit(r); err != nil {
+					t.Fatal(err)
+				}
+			}
+			got, err := s.Run()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if canonicalJSON(t, got) != canonicalJSON(t, sweep.Results[i].Report) {
+				t.Errorf("session report differs from the sweep cell")
+			}
+		})
 	}
 }
 
