@@ -15,10 +15,14 @@
 //	expdriver -exp resilience -drain 24h+4h:512           # + maintenance window
 //	expdriver -exp fig6 -resume ckpt/                     # resumable: rerun after a kill
 //	                                                      # picks up where it stopped
+//	expdriver -exp fig6 -seeds 2 -q -cpuprofile cpu.prof  # profile the run
 //
 // The csv form contains only deterministic metrics and is byte-identical for
 // any -workers value; json serializes the full result structs, whose decision
 // -latency fields are wall clock and so vary between runs and machines.
+//
+// -cpuprofile FILE writes a CPU profile of the whole command to FILE, for
+// go tool pprof; it is stopped and the file closed on every exit path.
 package main
 
 import (
@@ -27,6 +31,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"runtime/pprof"
 	"slices"
 	"strings"
 	"time"
@@ -54,22 +59,24 @@ func main() {
 		mtbfs    = flag.String("mtbf", "", "resilience failure-MTBF axis: comma-separated durations, e.g. '6h,24h' (default 6h,24h)")
 		repairs  = flag.String("repair", "", "resilience mean-repair axis: comma-separated durations, '0' = instant (default 0,1h)")
 		drains   = flag.String("drain", "", "maintenance windows applied to every resilience cell: 'start+duration:nodes', e.g. '24h+4h:512,96h+2h:256'")
+		cpuprof  = flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
 	)
 	flag.Parse()
+	if *cpuprof != "" {
+		startProfile(*cpuprof)
+		defer stopProfile()
+	}
 
 	// Validate the policy against the registry before any experiment runs:
 	// a bad name must not cost a paper-scale sweep before erroring.
 	if validPols := hybridsched.PolicyNames(); !slices.Contains(validPols, *pol) {
-		fmt.Fprintf(os.Stderr, "expdriver: unknown policy %q (valid: %s)\n",
-			*pol, strings.Join(validPols, ", "))
-		os.Exit(2)
+		fatalUsage(fmt.Errorf("unknown policy %q (valid: %s)", *pol, strings.Join(validPols, ", ")))
 	}
 	// Same for the source spec: parse errors and missing files must surface
 	// before any trace is generated or cell simulated.
 	if *srcSpec != "" {
 		if _, err := hybridsched.ParseSource(*srcSpec); err != nil {
-			fmt.Fprintln(os.Stderr, "expdriver:", err)
-			os.Exit(2)
+			fatalUsage(err)
 		}
 	}
 
@@ -327,7 +334,30 @@ func parseDurationList(s string) ([]float64, error) {
 	return out, nil
 }
 
+// stopProfile stops the -cpuprofile profile and closes its file; it is a
+// no-op when none runs. fatal and fatalUsage call it before they exit.
+var stopProfile = func() {}
+
+// startProfile starts a CPU profile into path.
+func startProfile(path string) {
+	f, err := os.Create(path)
+	if err != nil {
+		fatal(err)
+	}
+	if err := pprof.StartCPUProfile(f); err != nil {
+		fatal(err)
+	}
+	stopProfile = func() {
+		stopProfile = func() {}
+		pprof.StopCPUProfile()
+		if err := f.Close(); err != nil {
+			fatal(err)
+		}
+	}
+}
+
 func fatal(err error) {
+	stopProfile()
 	fmt.Fprintln(os.Stderr, "expdriver:", err)
 	os.Exit(1)
 }
@@ -335,6 +365,7 @@ func fatal(err error) {
 // fatalUsage reports a bad flag value and exits 2, the conventional
 // usage-error status, before any expensive work has been done.
 func fatalUsage(err error) {
+	stopProfile()
 	fmt.Fprintln(os.Stderr, "expdriver:", err)
 	os.Exit(2)
 }

@@ -16,6 +16,7 @@
 //	hybridsim -drain '24h+4h:512' -mech baseline        # maintenance window
 //	hybridsim -mechs all -out csv -checkpoint ckpt/     # resumable sweep
 //	hybridsim -mechs all -out csv -restore ckpt/        # continue after a kill
+//	hybridsim -mechs all -q -cpuprofile cpu.prof        # profile the run
 //
 // -mtbf injects node failures at the given system MTBF (each strikes one
 // uniformly random node, interrupting whatever holds it); -repair keeps the
@@ -32,12 +33,16 @@
 // csv:PATH (or swf:PATH with -format swf). Every workload runs through the
 // sweep runner, so -mechs, -workers, -out and -checkpoint/-restore apply to
 // all of them.
+//
+// -cpuprofile FILE writes a CPU profile of the whole command to FILE, for
+// go tool pprof; it is stopped and the file closed on every exit path.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
+	"runtime/pprof"
 	"slices"
 	"strings"
 
@@ -69,8 +74,13 @@ func main() {
 		ckptDir   = flag.String("checkpoint", "", "persist per-cell sweep progress (snapshots + finished reports) into this directory; a killed sweep resumes with -restore")
 		ckptEvery = flag.Int("checkpoint-every", 0, "simulation events between cell snapshots (0 = default)")
 		resumeDir = flag.String("restore", "", "resume a sweep from this checkpoint directory: finished cells are skipped, interrupted cells continue from their snapshots (implies -checkpoint into it)")
+		cpuprof   = flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
 	)
 	flag.Parse()
+	if *cpuprof != "" {
+		startProfile(*cpuprof)
+		defer stopProfile()
+	}
 
 	if *seeds < 1 {
 		fatal(fmt.Errorf("-seeds must be >= 1, got %d", *seeds))
@@ -285,7 +295,30 @@ func printReport(mech, pol string, rep hybridsched.Report) {
 	}
 }
 
+// stopProfile stops the -cpuprofile profile and closes its file; it is a
+// no-op when none runs. fatal and fatalUsage call it before they exit.
+var stopProfile = func() {}
+
+// startProfile starts a CPU profile into path.
+func startProfile(path string) {
+	f, err := os.Create(path)
+	if err != nil {
+		fatal(err)
+	}
+	if err := pprof.StartCPUProfile(f); err != nil {
+		fatal(err)
+	}
+	stopProfile = func() {
+		stopProfile = func() {}
+		pprof.StopCPUProfile()
+		if err := f.Close(); err != nil {
+			fatal(err)
+		}
+	}
+}
+
 func fatal(err error) {
+	stopProfile()
 	fmt.Fprintln(os.Stderr, "hybridsim:", err)
 	os.Exit(1)
 }
@@ -293,6 +326,7 @@ func fatal(err error) {
 // fatalUsage reports a bad flag value and exits 2, the conventional
 // usage-error status, before any expensive work has been done.
 func fatalUsage(err error) {
+	stopProfile()
 	fmt.Fprintln(os.Stderr, "hybridsim:", err)
 	os.Exit(2)
 }

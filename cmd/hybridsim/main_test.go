@@ -2,7 +2,9 @@ package main
 
 import (
 	"bytes"
+	"compress/gzip"
 	"errors"
+	"io"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -121,5 +123,41 @@ func TestUnknownTraceFormatIsUsageError(t *testing.T) {
 	var exit *exec.ExitError
 	if !errors.As(err, &exit) || exit.ExitCode() != 2 {
 		t.Fatalf("-format json: %v, want exit status 2", err)
+	}
+}
+
+// TestCPUProfile: -cpuprofile writes a complete CPU profile (a non-empty
+// gzip stream, as pprof writes) both when the run finishes and when a usage
+// error ends it early.
+func TestCPUProfile(t *testing.T) {
+	dir := t.TempDir()
+	ran := filepath.Join(dir, "ran.prof")
+	hybridsim(t, "-nodes", "512", "-weeks", "1", "-mech", "baseline", "-cpuprofile", ran)
+	checkProfile(t, ran)
+
+	refused := filepath.Join(dir, "refused.prof")
+	err := command("-mech", "nope", "-cpuprofile", refused).Run()
+	var exit *exec.ExitError
+	if !errors.As(err, &exit) || exit.ExitCode() != 2 {
+		t.Fatalf("-mech nope: %v, want exit status 2", err)
+	}
+	checkProfile(t, refused)
+}
+
+// checkProfile fails the test unless path holds a non-empty gzip stream.
+func checkProfile(t *testing.T, path string) {
+	t.Helper()
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	zr, err := gzip.NewReader(f)
+	if err != nil {
+		t.Fatalf("%s: %v", path, err)
+	}
+	data, err := io.ReadAll(zr)
+	if err != nil || len(data) == 0 {
+		t.Fatalf("%s: %d profile bytes, %v", path, len(data), err)
 	}
 }

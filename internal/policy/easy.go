@@ -44,6 +44,11 @@ const maxInt64 = int64(^uint64(0) >> 1)
 // zero value is ready to use. A Planner is not safe for concurrent use, and
 // each PlanEASYSorted call invalidates the slice returned by the previous one.
 type Planner struct {
+	// Sized counts the backfill candidates phase 3 of PlanEASYSorted has
+	// sized over the planner's life: the work its passes did behind a
+	// blocked head.
+	Sized int
+
 	starts []Start
 	curs   []cursor
 }
@@ -116,11 +121,13 @@ func sortedRel(running []Running) []Running {
 // so a candidate the pools reject stays rejected: each cursor moves forward
 // past rejected jobs to its group's first admissible one and never back, and
 // the earliest of those in queue order is the start the linear scan of
-// PlanEASY would make next. The plan is PlanEASY's, start for start, at a
-// cost set by the jobs that could fit rather than by the queue's depth. A
-// queue that is not incremental is scanned linearly: it is re-sorted every
-// pass, and rebuilding the index after each re-sort costs more than the scan
-// it would save.
+// PlanEASY would make next. A cursor passes without sizing them the jobs
+// the time rule must reject and the extra-node rule cannot admit, by the
+// walls the index records (see advance). The plan is PlanEASY's, start for
+// start, at a cost set by the jobs that could start rather than by the
+// queue's depth. A queue that is not incremental is scanned linearly: it is
+// re-sorted every pass, and rebuilding the index after each re-sort costs
+// more than the scan it would save.
 func (p *Planner) PlanEASYSorted(now int64, q *Queue, running []Running, free, backfillExtra, maxOwn int, ownReserve func(*job.Job) int) []Start {
 	if q.incremental && q.minNeed() > free+backfillExtra+maxOwn {
 		return nil
@@ -132,6 +139,7 @@ func (p *Planner) PlanEASYSorted(now int64, q *Queue, running []Running, free, b
 		} else {
 			p.backfillLinear(q.jobs[idx+1:], &b)
 		}
+		p.Sized += b.sized
 	}
 	return p.starts
 }
@@ -155,6 +163,7 @@ type backfill struct {
 	shared   int   // shared reserved capacity (backfillExtra)
 	shadow   int64 // the head's reservation time
 	extra    int   // nodes spare at the shadow time beyond the head's need
+	sized    int   // candidates fit has sized
 }
 
 func (b *backfill) ownOf(j *job.Job) int {
@@ -204,6 +213,7 @@ func (p *Planner) head(now int64, queue []*job.Job, rel []Running, free, backfil
 // pools reject stays rejected for the rest of the pass: the shadow time is
 // fixed, the pools only shrink, and admission is monotone in every pool.
 func (b *backfill) fit(j *job.Job) (size int, usedExtra, ok bool) {
+	b.sized++
 	// On-demand jobs never run on other jobs' reserved capacity: a squatter
 	// is preemptable, and on-demand jobs must not be.
 	shared := b.shared
@@ -266,10 +276,9 @@ func (p *Planner) backfillIndexed(q *Queue, idx int, b *backfill, maxOwn int) {
 		// Move each cursor to its group's first job the current pools admit,
 		// dropping the groups that hold none. Everything passed over is
 		// rejected for the rest of the pass, as the pools only shrink.
-		bound = b.free + b.shared + maxOwn
 		live := curs[:0]
 		for _, c := range curs {
-			if b.advance(q, &c, bound) {
+			if b.advance(q, &c, maxOwn) {
 				live = append(live, c)
 			}
 		}
@@ -300,19 +309,38 @@ type cursor struct {
 }
 
 // at returns the job cursor c is at.
-func (q *Queue) at(c cursor) *job.Job { return q.groups[c.g].jobs[c.k] }
+func (q *Queue) at(c cursor) *job.Job { return q.groups[c.g].jobAt(c.k) }
 
 // advance moves c to the first job from its position on that the current
-// pools admit. It reports false when the group holds none, or needs more
-// than bound.
-func (b *backfill) advance(q *Queue, c *cursor, bound int) bool {
+// pools admit, with maxOwn bounding any job's own reservation. It reports
+// false when the group holds none.
+//
+// A group that needs more than free + shared + maxOwn holds no job that
+// fits. One that needs more than extra + shared + maxOwn holds none the
+// extra-node rule admits: a job's own reservation is at most maxOwn, and an
+// on-demand job draws on no shared reserve. With the shadow finite, only the
+// time rule can then start a job of the group, and it rejects at every size
+// a job whose recorded wall ends after the shadow. advance passes such jobs
+// without sizing them, and drops the group when its minimum wall does.
+// Within a pass the shadow is fixed, the pools only shrink and the queue
+// does not change, so a dropped group stays dropped.
+func (b *backfill) advance(q *Queue, c *cursor, maxOwn int) bool {
 	g := &q.groups[c.g]
-	if g.need > bound {
+	if g.need > b.free+b.shared+maxOwn {
 		return false
 	}
+	limit := maxInt64 // the longest wall a job of g may start with
+	if b.shadow != maxInt64 && g.need > b.extra+b.shared+maxOwn {
+		if limit = b.shadow - b.now; g.minWall > limit {
+			return false
+		}
+	}
 	for ; c.k < len(g.jobs); c.k++ {
+		if g.jobs[c.k].wall > limit {
+			continue
+		}
 		var ok bool
-		if c.size, c.usedExtra, ok = b.fit(g.jobs[c.k]); ok {
+		if c.size, c.usedExtra, ok = b.fit(g.jobs[c.k].j); ok {
 			return true
 		}
 	}

@@ -2,6 +2,7 @@ package policy
 
 import (
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -142,7 +143,11 @@ func sameStarts(a, b []Start) bool {
 
 // genInstance builds a random planner instance small enough (≤8 queued jobs)
 // that the brute-force reference is exhaustive. Running-job estimated ends
-// are drawn from a coarse grid so (EstEnd, ID) tie-breaking is exercised.
+// are drawn from a coarse grid so (EstEnd, ID) tie-breaking is exercised,
+// and so are the queued jobs' estimates in half the instances, so that
+// candidates end exactly at the shadow time. Half the instances release few
+// nodes per running job, which leaves the head few spare nodes at the shadow
+// time: a candidate too large for them must finish before it.
 func genInstance(rng *rand.Rand) (queue []*job.Job, running []Running, free, bf int, ownReserve map[int]int, flexible bool) {
 	nq := rng.Intn(9)
 	ownReserve = map[int]int{}
@@ -152,10 +157,15 @@ func genInstance(rng *rand.Rand) (queue []*job.Job, running []Running, free, bf 
 	if rng.Intn(2) == 0 {
 		maxSize = 4
 	}
+	onGrid := rng.Intn(2) == 0
 	for i := 0; i < nq; i++ {
 		id := i + 1
 		size := 1 + rng.Intn(maxSize)
 		est := int64(1 + rng.Intn(2000))
+		if onGrid {
+			// A job's estimated wall at full size is its estimate.
+			est = int64(250 * (1 + rng.Intn(8)))
+		}
 		switch rng.Intn(3) {
 		case 0:
 			queue = append(queue, rigid(id, int64(i), size, est))
@@ -168,10 +178,14 @@ func genInstance(rng *rand.Rand) (queue []*job.Job, running []Running, free, bf 
 			ownReserve[id] = 1 + rng.Intn(4)
 		}
 	}
+	maxNodes := 16
+	if rng.Intn(2) == 0 {
+		maxNodes = 4
+	}
 	for i, nr := 0, rng.Intn(5); i < nr; i++ {
 		running = append(running, Running{
 			EstEnd: int64(250 * (1 + rng.Intn(8))),
-			Nodes:  1 + rng.Intn(16),
+			Nodes:  1 + rng.Intn(maxNodes),
 			ID:     100 + i,
 		})
 	}
@@ -195,11 +209,12 @@ func queueOf(ord Ordering, odFirst, flexible bool, now int64, jobs []*job.Job) *
 // job classes, private reservations, shared reserve capacity, both sizing
 // modes, and the built-in orderings with and without on-demand-first.
 // PlanEASYSorted gets the tightest bound on private reservations it allows,
-// so a pass or a group skipped one node too eagerly shows up as a missing
-// start.
+// so a pass, a group or a job skipped one node or one second too eagerly
+// shows up as a missing start.
 func TestPlanEASYMatchesBruteForce(t *testing.T) {
 	orders := []Ordering{FCFS{}, SJF{}, LJF{}, WFP3{}}
 	instances, blockedBehindStarts, skipped, onBound := 0, 0, 0, 0
+	var walls wallSkips
 	property := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		jobs, running, free, bf, ownReserve, flexible := genInstance(rng)
@@ -218,6 +233,7 @@ func TestPlanEASYMatchesBruteForce(t *testing.T) {
 		inc := queueOf(ord, odFirst, flexible, now, jobs)
 		queue := inc.Jobs()
 		want := refPlanEASY(now, queue, running, free, bf, ownReserve, flexible)
+		rel := sortedRel(running)
 		// Phase-1 starts are the leading starts that are a queue prefix.
 		instances++
 		if k := countPrefix(want, queue); k > 0 && k < len(queue) {
@@ -230,6 +246,7 @@ func TestPlanEASYMatchesBruteForce(t *testing.T) {
 			case inc.minNeed() == bound && len(want) > 0:
 				onBound++
 			}
+			walls.count(inc, now, rel, free, bf, maxOwn, ownFn, want)
 		}
 
 		got := PlanEASY(now, queue, running, free, bf, ownFn, flexible)
@@ -238,7 +255,6 @@ func TestPlanEASYMatchesBruteForce(t *testing.T) {
 			return false
 		}
 
-		rel := sortedRel(running)
 		shuffled := append([]*job.Job(nil), jobs...)
 		rng.Shuffle(len(shuffled), func(i, k int) { shuffled[i], shuffled[k] = shuffled[k], shuffled[i] })
 		sortedPerPass := queueOf(resorted{ord}, odFirst, flexible, now, shuffled)
@@ -253,7 +269,7 @@ func TestPlanEASYMatchesBruteForce(t *testing.T) {
 		}
 		return true
 	}
-	if err := quick.Check(property, &quick.Config{MaxCount: 5000}); err != nil {
+	if err := quick.Check(property, &quick.Config{MaxCount: 20000}); err != nil {
 		t.Fatal(err)
 	}
 	// The skip of each group's phase-1 prefix is only exercised when phase 1
@@ -266,6 +282,60 @@ func TestPlanEASYMatchesBruteForce(t *testing.T) {
 	// start a job.
 	if skipped*100 < instances || onBound*500 < instances {
 		t.Fatalf("of %d instances %d lie past the skip bound and %d on it with a start", instances, skipped, onBound)
+	}
+	// The wall skip is pinned only by instances on both sides of the
+	// shadow: jobs and whole groups it passes, and jobs it must not pass,
+	// whose walls end exactly at the shadow.
+	if walls.job*100 < instances || walls.group*100 < instances || walls.onShadow*2000 < instances {
+		t.Fatalf("of %d instances %d pass a job by its wall, %d a whole group, %d start a job ending at the shadow",
+			instances, walls.job, walls.group, walls.onShadow)
+	}
+}
+
+// wallSkips counts the instances that exercise phase 3's wall skip.
+type wallSkips struct {
+	job, group, onShadow int
+}
+
+// count classifies one incremental instance by the pools phase 3 starts
+// from. A group lies under the skip when the shadow is finite and its need
+// is within the cursor bound but past what the extra-node rule can admit;
+// the pools only shrink, so the planner skips at least what this counts.
+func (w *wallSkips) count(q *Queue, now int64, rel []Running, free, bf, maxOwn int, own func(*job.Job) int, want []Start) {
+	var p Planner
+	idx, b := p.head(now, q.jobs, rel, free, bf, own, q.flexible)
+	if idx == len(q.jobs) || b.shadow == maxInt64 {
+		return
+	}
+	q.index()
+	limit := b.shadow - now
+	behind := q.jobs[idx+1:]
+	var job, group, onShadow bool
+	for _, g := range q.groups {
+		if g.need > b.free+b.shared+maxOwn || g.need <= b.extra+b.shared+maxOwn {
+			continue
+		}
+		if g.minWall > limit && slices.ContainsFunc(g.jobs, func(e walledJob) bool { return slices.Contains(behind, e.j) }) {
+			group = true
+		}
+		for _, e := range g.jobs {
+			switch {
+			case !slices.Contains(behind, e.j):
+			case e.wall > limit:
+				job = true
+			case e.wall == limit && slices.ContainsFunc(want, func(s Start) bool { return s.J == e.j }):
+				onShadow = true
+			}
+		}
+	}
+	if job {
+		w.job++
+	}
+	if group {
+		w.group++
+	}
+	if onShadow {
+		w.onShadow++
 	}
 }
 

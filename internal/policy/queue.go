@@ -10,11 +10,12 @@ import (
 // Queue is a scheduler's waiting queue in policy order, with a need index
 // beside it: the queued jobs grouped by start need (Size, or MinSize for a
 // malleable job under flexible sizing), each group in queue order, groups
-// ascending by need. On an incremental queue the index gives PlanEASYSorted
-// the exact smallest start need in O(1) and lets its backfill phase visit
-// only jobs that could fit. It is built on the first plan that reads it,
-// kept up to date by every insertion and removal from then on, and dropped
-// by a re-sort or Load until its next use.
+// ascending by need. Beside each job the index records its estimated wall at
+// full size, and each group the least of its jobs' walls. On an incremental
+// queue the index gives PlanEASYSorted the exact smallest start need in O(1)
+// and lets its backfill phase visit only jobs that could fit. It is built on
+// the first plan that reads it, kept up to date by every insertion and
+// removal from then on, and dropped by a re-sort or Load until its next use.
 //
 // A queue is incremental exactly when its ordering is time-invariant: it
 // keeps policy order as jobs come and go (binary-search insertion and
@@ -29,15 +30,50 @@ type Queue struct {
 	incremental bool
 
 	jobs    []*job.Job
-	indexed bool         // groups hold the index of jobs
-	groups  []needGroup  // ascending by need, none empty
-	spare   [][]*job.Job // emptied group backing arrays, for reuse
+	indexed bool          // groups hold the index of jobs
+	groups  []needGroup   // ascending by need, none empty
+	spare   [][]walledJob // emptied group backing arrays, for reuse
 }
 
-// needGroup holds the queued jobs of one start need, in queue order.
+// needGroup holds the queued jobs of one start need, in queue order, and the
+// least of their recorded walls.
 type needGroup struct {
-	need int
-	jobs []*job.Job
+	need    int
+	minWall int64
+	jobs    []walledJob
+}
+
+// walledJob is a job in the need index with its estimated wall at full size,
+// estimatedWall(j, j.Size): the wall of a fixed-size job's only start size,
+// and the shortest wall of a malleable job, whose wall does not grow with its
+// size. It holds while the job waits, as the engine writes only a queued
+// job's State.
+type walledJob struct {
+	j    *job.Job
+	wall int64
+}
+
+// jobAt returns the k-th job of g.
+func (g *needGroup) jobAt(k int) *job.Job { return g.jobs[k].j }
+
+// insertAt puts j at position k of g with its wall, lowering g's minimum.
+func (g *needGroup) insertAt(k int, j *job.Job) {
+	w := estimatedWall(j, j.Size)
+	g.jobs = slices.Insert(g.jobs, k, walledJob{j: j, wall: w})
+	g.minWall = min(g.minWall, w)
+}
+
+// removeAt removes g's k-th job, rescanning for the minimum when the job held
+// it.
+func (g *needGroup) removeAt(k int) {
+	w := g.jobs[k].wall
+	g.jobs = slices.Delete(g.jobs, k, k+1)
+	if w == g.minWall {
+		g.minWall = maxInt64
+		for _, e := range g.jobs {
+			g.minWall = min(g.minWall, e.wall)
+		}
+	}
 }
 
 // NewQueue returns an empty queue ordered by ord, with the on-demand-first
@@ -75,10 +111,13 @@ const maxInt = int(^uint(0) >> 1)
 
 func (q *Queue) need(j *job.Job) int { return startNeed(j, q.flexible) }
 
-// pos returns where j belongs in s, a slice in policy order: before the
-// first member that does not order before it.
-func (q *Queue) pos(s []*job.Job, j *job.Job, now int64) int {
-	return sort.Search(len(s), func(k int) bool { return !Less(s[k], j, q.ord, now, q.odFirst) })
+// jobAt returns the k-th queued job.
+func (q *Queue) jobAt(k int) *job.Job { return q.jobs[k] }
+
+// pos returns where j belongs among n jobs in policy order, the k-th of them
+// at(k): before the first that does not order before it.
+func (q *Queue) pos(n int, at func(int) *job.Job, j *job.Job, now int64) int {
+	return sort.Search(n, func(k int) bool { return !Less(at(k), j, q.ord, now, q.odFirst) })
 }
 
 // Insert adds j at its policy position at time now, or at the end of a
@@ -88,7 +127,7 @@ func (q *Queue) Insert(j *job.Job, now int64) {
 	// their group.
 	i := len(q.jobs)
 	if q.incremental && i > 0 && !Less(q.jobs[i-1], j, q.ord, now, q.odFirst) {
-		i = q.pos(q.jobs, j, now)
+		i = q.pos(i, q.jobAt, j, now)
 	}
 	q.jobs = slices.Insert(q.jobs, i, j)
 	if !q.indexed {
@@ -97,15 +136,15 @@ func (q *Queue) Insert(j *job.Job, now int64) {
 	g := &q.groups[q.group(q.need(j))]
 	k := len(g.jobs)
 	if i < len(q.jobs)-1 {
-		k = q.pos(g.jobs, j, now)
+		k = q.pos(k, g.jobAt, j, now)
 	}
-	g.jobs = slices.Insert(g.jobs, k, j)
+	g.insertAt(k, j)
 }
 
 // Remove deletes j from the queue and reports whether it was queued. An
 // incremental queue finds it by binary search, any other by a scan.
 func (q *Queue) Remove(j *job.Job, now int64) bool {
-	i, ok := q.find(q.jobs, j, now)
+	i, ok := q.find(len(q.jobs), q.jobAt, j, now)
 	if !ok {
 		return false
 	}
@@ -115,8 +154,8 @@ func (q *Queue) Remove(j *job.Job, now int64) bool {
 	}
 	gi := q.group(q.need(j))
 	g := &q.groups[gi]
-	if k, ok := q.find(g.jobs, j, now); ok {
-		g.jobs = slices.Delete(g.jobs, k, k+1)
+	if k, ok := q.find(len(g.jobs), g.jobAt, j, now); ok {
+		g.removeAt(k)
 	}
 	if len(g.jobs) == 0 {
 		q.spare = append(q.spare, g.jobs)
@@ -136,18 +175,22 @@ func deleteAt(s []*job.Job, i int) []*job.Job {
 	return s[1:]
 }
 
-// find locates j in s, a slice in queue order. Jobs mostly leave from the
-// front, so that is tried first.
-func (q *Queue) find(s []*job.Job, j *job.Job, now int64) (int, bool) {
-	if len(s) > 0 && s[0] == j {
+// find locates j among n jobs in queue order, the k-th of them at(k). Jobs
+// mostly leave from the front, so that is tried first.
+func (q *Queue) find(n int, at func(int) *job.Job, j *job.Job, now int64) (int, bool) {
+	if n > 0 && at(0) == j {
 		return 0, true
 	}
 	if !q.incremental {
-		i := slices.Index(s, j)
-		return i, i >= 0
+		for i := range n {
+			if at(i) == j {
+				return i, true
+			}
+		}
+		return -1, false
 	}
-	i := q.pos(s, j, now)
-	return i, i < len(s) && s[i] == j
+	i := q.pos(n, at, j, now)
+	return i, i < n && at(i) == j
 }
 
 // group returns the index of need's group, creating the group if absent.
@@ -161,11 +204,11 @@ func (q *Queue) group(need int) int {
 		}
 	}
 	if i == len(q.groups) || q.groups[i].need != need {
-		var jobs []*job.Job
+		var jobs []walledJob
 		if n := len(q.spare); n > 0 {
 			jobs, q.spare = q.spare[n-1], q.spare[:n-1]
 		}
-		q.groups = slices.Insert(q.groups, i, needGroup{need: need, jobs: jobs})
+		q.groups = slices.Insert(q.groups, i, needGroup{need: need, minWall: maxInt64, jobs: jobs})
 	}
 	return i
 }
@@ -189,7 +232,7 @@ func (q *Queue) index() {
 	q.indexed = true
 	for _, j := range q.jobs {
 		g := &q.groups[q.group(q.need(j))]
-		g.jobs = append(g.jobs, j)
+		g.insertAt(len(g.jobs), j)
 	}
 }
 

@@ -11,8 +11,10 @@ import (
 
 // checkIndex verifies the need-index invariant against the queue itself:
 // groups ascending by need, none empty, each holding exactly the queued jobs
-// of its need in queue order, and minNeed the first group's need. It builds
-// the index if the queue has none, so later operations maintain it.
+// of its need in queue order beside their estimated walls at full size, each
+// group's minimum wall the least of those, and minNeed the first group's
+// need. It builds the index if the queue has none, so later operations
+// maintain it.
 func checkIndex(q *Queue) error {
 	q.index()
 	want := map[int][]*job.Job{}
@@ -31,8 +33,20 @@ func checkIndex(q *Queue) error {
 		if i > 0 && q.groups[i-1].need >= g.need {
 			return fmt.Errorf("groups not ascending at %d", i)
 		}
-		if !slices.Equal(g.jobs, want[g.need]) {
-			return fmt.Errorf("group %d: %v, want %v", g.need, ids(g.jobs), ids(want[g.need]))
+		var jobs []*job.Job
+		least := maxInt64
+		for _, e := range g.jobs {
+			jobs = append(jobs, e.j)
+			if w := estimatedWall(e.j, e.j.Size); e.wall != w {
+				return fmt.Errorf("group %d: job %d records wall %d, want %d", g.need, e.j.ID, e.wall, w)
+			}
+			least = min(least, e.wall)
+		}
+		if !slices.Equal(jobs, want[g.need]) {
+			return fmt.Errorf("group %d: %v, want %v", g.need, ids(jobs), ids(want[g.need]))
+		}
+		if g.minWall != least {
+			return fmt.Errorf("group %d: minimum wall %d, want %d", g.need, g.minWall, least)
 		}
 	}
 	if q.minNeed() != least {

@@ -3,6 +3,7 @@ package server
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -216,11 +217,23 @@ func writeError(w http.ResponseWriter, err error) {
 	writeJSON(w, code, map[string]string{"error": err.Error()})
 }
 
-// decodeBody decodes a size-capped JSON request body into v.
+// decodeBody decodes a size-capped JSON request body into v (see decodeOne).
 func decodeBody(w http.ResponseWriter, r *http.Request, v any) error {
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+	return decodeOne(json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)), v)
+}
+
+// decodeOne decodes the one JSON value dec holds into v. Unknown fields are
+// refused (a misspelled field would otherwise read as its zero value), and
+// so is any data after the value but white space.
+func decodeOne(dec *json.Decoder, v any) error {
 	dec.DisallowUnknownFields()
-	return dec.Decode(v)
+	if err := dec.Decode(v); err != nil {
+		return err
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return errors.New("data after the JSON value")
+	}
+	return nil
 }
 
 func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
@@ -322,22 +335,15 @@ func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
 		writeError(w, fmt.Errorf("bad request body: %w", err))
 		return
 	}
-	// Accept one job object or an array of them. Unknown fields are refused,
-	// as decodeBody refuses them (a misspelled "sumbit" would otherwise
-	// submit the job at t=0), and so is data after the value.
+	// Accept one job object or an array of them, as strictly as decodeBody
+	// (a misspelled "sumbit" would otherwise submit the job at t=0).
 	dec := json.NewDecoder(bytes.NewReader(body))
-	dec.DisallowUnknownFields()
 	var jobs []wireJob
 	if trimmed := bytes.TrimSpace(body); len(trimmed) > 0 && trimmed[0] == '[' {
-		err = dec.Decode(&jobs)
+		err = decodeOne(dec, &jobs)
 	} else {
 		jobs = make([]wireJob, 1)
-		err = dec.Decode(&jobs[0])
-	}
-	if err == nil {
-		if _, tail := dec.Token(); tail != io.EOF {
-			err = fmt.Errorf("data after the JSON value")
-		}
+		err = decodeOne(dec, &jobs[0])
 	}
 	if err != nil {
 		writeError(w, fmt.Errorf("bad job body: %w", err))
@@ -470,7 +476,8 @@ func (s *Server) handleCheckpoint(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]string{"checkpointed": a.spec.ID})
 }
 
-// sseDropCheckEvery is how many events stream between DroppedEvents polls.
+// sseDropCheckEvery is how many events stream between polls of the
+// channel's drop count.
 const sseDropCheckEvery = 64
 
 func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
@@ -484,22 +491,23 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	// Subscribing mutates the session (installs the engine sink), so it goes
-	// through the actor; the returned channel, the DroppedEvents counter and
+	// through the actor; the returned channel, its drop count and
 	// CloseEvents are safe to use from this handler goroutine afterwards.
+	// Each client is told only of the events dropped from its own channel.
 	var ch <-chan hybridsched.Event
 	var dropped func() int
 	var detach func(<-chan hybridsched.Event)
 	if err := a.do(func(sess *hybridsched.Session) error {
 		ch = sess.Events()
-		dropped = sess.DroppedEvents
+		dropped = func() int { return sess.DroppedEventsOf(ch) }
 		detach = sess.CloseEvents
 		return nil
 	}); err != nil {
 		writeError(w, err)
 		return
 	}
-	// A departed client detaches its channel, so drops counted from then on
-	// are drops a live consumer suffered.
+	// A departed client detaches its channel, so the session-wide count
+	// stops counting drops no consumer suffers.
 	defer detach(ch)
 
 	w.Header().Set("Content-Type", "text/event-stream")

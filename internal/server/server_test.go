@@ -522,6 +522,48 @@ func TestJobBodyRefusesUnknownFields(t *testing.T) {
 	}
 }
 
+// TestBodiesRefuseTrailingData: create and advance bodies hold one JSON
+// value, as job bodies do. Data after it is a 400 that creates no session
+// and advances no clock; white space after it is fine.
+func TestBodiesRefuseTrailingData(t *testing.T) {
+	_, ts := testServer(t, Quotas{}, "")
+	post := func(url, body string) int {
+		resp, err := http.Post(url, "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+	const create = `{"tenant":"alice","nodes":64}`
+	for _, body := range []string{create + ` {"tenant":"bob"}`, create + `garbage`} {
+		if code := post(ts.URL+"/v1/sessions", body); code != http.StatusBadRequest {
+			t.Errorf("create %s: status %d, want 400", body, code)
+		}
+	}
+	var infos []sessionInfo
+	if call(t, "GET", ts.URL+"/v1/sessions", nil, &infos); len(infos) != 0 {
+		t.Fatalf("refused creates left %d sessions", len(infos))
+	}
+	if code := post(ts.URL+"/v1/sessions", create+"\n\t "); code != http.StatusCreated {
+		t.Fatalf("create with trailing white space: status %d, want 201", code)
+	}
+	if call(t, "GET", ts.URL+"/v1/sessions", nil, &infos); len(infos) != 1 {
+		t.Fatalf("%d sessions, want 1", len(infos))
+	}
+	base := ts.URL + "/v1/sessions/" + infos[0].ID
+	if code := post(base+"/advance", `{"hours":1}{"steps":5}`); code != http.StatusBadRequest {
+		t.Errorf("advance with a second value: status %d, want 400", code)
+	}
+	var info sessionInfo
+	if call(t, "GET", base, nil, &info); info.Now != 0 {
+		t.Fatalf("refused advance moved the clock to %d", info.Now)
+	}
+	if code := post(base+"/advance", `{"hours":1} `); code != http.StatusOK {
+		t.Errorf("advance with trailing white space: status %d, want 200", code)
+	}
+}
+
 // TestSSEDetachesDepartedClients: a client that leaves the event stream
 // detaches its channel, so later clients see no drops that only departed
 // clients suffered. Three clients connect and leave; a fourth that keeps up
@@ -575,6 +617,14 @@ func TestSSEDetachesDepartedClients(t *testing.T) {
 		}
 	}
 
+	keepUp(t, base)
+}
+
+// keepUp connects an SSE client to the session at base and streams more
+// events through it than one channel buffers, failing on any dropped frame:
+// the client keeps up, so none of the drops are its own.
+func keepUp(t *testing.T, base string) {
+	t.Helper()
 	resp, err := http.Get(base + "/events")
 	if err != nil {
 		t.Fatal(err)
@@ -621,6 +671,34 @@ func TestSSEDetachesDepartedClients(t *testing.T) {
 	}
 	if streamed <= 4096 {
 		t.Fatalf("streamed %d events, want more than a channel buffers", streamed)
+	}
+}
+
+// TestSSEReportsOwnDrops: each SSE client is told only of the events
+// dropped from its own channel. A second Events channel on the session is
+// never read, so it drops events while a client that keeps up streams more
+// than one channel buffers without a dropped frame; the session-wide count
+// still counts the other channel's drops.
+func TestSSEReportsOwnDrops(t *testing.T) {
+	srv, ts := testServer(t, Quotas{}, "")
+	var info sessionInfo
+	if code := call(t, "POST", ts.URL+"/v1/sessions", createRequest{Tenant: "alice", Nodes: 64}, &info); code != http.StatusCreated {
+		t.Fatalf("create: status %d", code)
+	}
+	a, ok := srv.lookup(info.ID)
+	if !ok {
+		t.Fatalf("no session %q", info.ID)
+	}
+	if err := a.do(func(sess *hybridsched.Session) error {
+		sess.Events()
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	base := ts.URL + "/v1/sessions/" + info.ID
+	keepUp(t, base)
+	if call(t, "GET", base, nil, &info); info.Dropped == 0 {
+		t.Fatal("the unread channel dropped no events; dropped_events counts 0")
 	}
 }
 

@@ -319,7 +319,7 @@ type Engine struct {
 	//schedlint:snapfield rebuilt from the restored running set; see releaseList
 	rel []policy.Running
 
-	//schedlint:snapfield scratch planner; holds no cross-pass state
+	//schedlint:snapfield scratch planner; across passes it keeps only its work count, which no report reads
 	planner policy.Planner
 
 	schedPending bool

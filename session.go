@@ -368,9 +368,10 @@ const eventChanBuffer = 4096
 // A Session is not safe for concurrent use: Submit, Step, RunUntil, Run,
 // Snapshot, and Events must be called from one goroutine. The exceptions are
 // the event-consumption surface: the channels Events returns may be drained
-// from any goroutine, and Close, CloseEvents and DroppedEvents may be called
-// from any goroutine — including concurrently with a run in progress and with
-// readers blocked on an Events channel (they observe the close and drain out).
+// from any goroutine, and Close, CloseEvents, DroppedEvents and
+// DroppedEventsOf may be called from any goroutine — including concurrently
+// with a run in progress and with readers blocked on an Events channel (they
+// observe the close and drain out).
 type Session struct {
 	eng    *sim.Engine
 	plan   func(size int) checkpoint.Plan
@@ -379,9 +380,9 @@ type Session struct {
 
 	// evMu guards the event fan-out surface (chans, drops, closed), the only
 	// session state shared across goroutines: emit runs on the driving
-	// goroutine while Close/DroppedEvents may be called from any other.
+	// goroutine while Close and the drop-count reads may run on any other.
 	evMu   sync.Mutex
-	chans  []chan Event
+	chans  []eventChan
 	drops  int
 	closed bool
 
@@ -392,6 +393,12 @@ type Session struct {
 	// rebuild an identical session; nil when the session is not
 	// checkpointable by name (WithScheduler instances).
 	ckpt *sessionCheckpointInfo
+}
+
+// eventChan is one channel Events returned, with the events dropped from it.
+type eventChan struct {
+	ch    chan Event
+	drops int
 }
 
 // sessionCheckpointInfo is the resolved construction recipe of a session.
@@ -518,10 +525,11 @@ func (s *Session) emit(ev Event) {
 		s.evMu.Unlock()
 		return
 	}
-	for _, ch := range s.chans {
+	for i := range s.chans {
 		select {
-		case ch <- ev:
+		case s.chans[i].ch <- ev:
 		default:
+			s.chans[i].drops++
 			s.drops++
 		}
 	}
@@ -764,10 +772,12 @@ func jobStatus(j *Job) JobStatus {
 // buffer full is dropped from that channel, not delayed, so a consumer that
 // falls more than eventChanBuffer events behind sees a gap in the stream.
 // Every such discard is counted by DroppedEvents (summed across all Events
-// channels). Consumers that need a loss signal — live dashboards, the schedd
-// SSE bridge — should poll DroppedEvents and surface the count; consumers
-// that need every event must either drain promptly or attach a synchronous
-// Observer instead, which receives the complete stream by construction.
+// channels) and by DroppedEventsOf for the channel it was dropped from.
+// Consumers that need a loss signal — live dashboards, the schedd SSE
+// bridge — should poll DroppedEventsOf their channel and surface the count;
+// consumers that need every event must either drain promptly or attach a
+// synchronous Observer instead, which receives the complete stream by
+// construction.
 //
 // Events must be called from the goroutine driving the session (it installs
 // the engine sink); the returned channel may be drained from any goroutine.
@@ -781,7 +791,7 @@ func (s *Session) Events() <-chan Event {
 		close(ch)
 		return ch
 	}
-	s.chans = append(s.chans, ch)
+	s.chans = append(s.chans, eventChan{ch: ch})
 	s.evMu.Unlock()
 	s.installSink()
 	return ch
@@ -794,10 +804,13 @@ func (s *Session) Events() <-chan Event {
 func (s *Session) CloseEvents(ch <-chan Event) {
 	s.evMu.Lock()
 	defer s.evMu.Unlock()
+	if s.closed {
+		return
+	}
 	for i, c := range s.chans {
-		if c == ch {
+		if c.ch == ch {
 			s.chans = slices.Delete(s.chans, i, i+1)
-			close(c)
+			close(c.ch)
 			return
 		}
 	}
@@ -813,6 +826,22 @@ func (s *Session) DroppedEvents() int {
 	return s.drops
 }
 
+// DroppedEventsOf reports how many events were discarded because ch, a
+// channel returned by Events, was full: DroppedEvents for that channel
+// alone, so a consumer that keeps up reads 0 however far behind another
+// falls. A channel CloseEvents detached reads 0; one Close closed keeps its
+// count. Safe to call from any goroutine.
+func (s *Session) DroppedEventsOf(ch <-chan Event) int {
+	s.evMu.Lock()
+	defer s.evMu.Unlock()
+	for _, c := range s.chans {
+		if c.ch == ch {
+			return c.drops
+		}
+	}
+	return 0
+}
+
 // Close closes all Events channels. The session remains queryable (Report,
 // Snapshot) but emits no further events. Close is idempotent and safe to
 // call from any goroutine — including concurrently with a second Close,
@@ -825,10 +854,11 @@ func (s *Session) Close() {
 		return
 	}
 	s.closed = true
-	for _, ch := range s.chans {
-		close(ch)
+	// The closed channels stay listed, so DroppedEventsOf still reads their
+	// counts; nothing is delivered after Close.
+	for _, c := range s.chans {
+		close(c.ch)
 	}
-	s.chans = nil
 }
 
 // Hour is one simulated hour in seconds, a convenience for RunUntil loops.

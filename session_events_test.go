@@ -158,6 +158,54 @@ func TestCloseEventsDetachesOneChannel(t *testing.T) {
 	}
 }
 
+// TestDroppedEventsOfCountsOneChannel: DroppedEventsOf counts only the
+// events dropped from its own channel, keeps the count after Run closes the
+// channel, and reads 0 for a detached channel; DroppedEvents is the sum.
+func TestDroppedEventsOfCountsOneChannel(t *testing.T) {
+	all := 0
+	s := mustSession(t, WithNodes(4096), WithMechanism("baseline"),
+		WithObserver(ObserverFunc(func(Event) { all++ })))
+	for i := 1; i <= 2000; i++ {
+		r := Record{ID: i, Class: Rigid, Submit: int64(i), Size: 1, Work: 60, Estimate: 120}
+		if err := s.Submit(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	early, gone := s.Events(), s.Events()
+	if err := s.RunUntil(100); err != nil {
+		t.Fatal(err)
+	}
+	before := all
+	late := s.Events()
+	if _, err := s.Run(); err != nil {
+		t.Fatal(err)
+	}
+	s.CloseEvents(gone) // after Run closed it: a no-op that keeps its count
+	wantEarly, wantLate := all-eventChanBuffer, all-before-eventChanBuffer
+	if wantLate <= 0 {
+		t.Fatalf("%d events after the late channel attached; need > %d", all-before, eventChanBuffer)
+	}
+	for _, c := range []struct {
+		name string
+		ch   <-chan Event
+		want int
+	}{{"early", early, wantEarly}, {"gone", gone, wantEarly}, {"late", late, wantLate}} {
+		if got := s.DroppedEventsOf(c.ch); got != c.want {
+			t.Errorf("DroppedEventsOf(%s) = %d, want %d", c.name, got, c.want)
+		}
+	}
+	if got, want := s.DroppedEvents(), 2*wantEarly+wantLate; got != want {
+		t.Errorf("DroppedEvents() = %d, want %d", got, want)
+	}
+
+	detached := mustSession(t)
+	ch := detached.Events()
+	detached.CloseEvents(ch)
+	if got := detached.DroppedEventsOf(ch); got != 0 {
+		t.Errorf("DroppedEventsOf(detached channel) = %d, want 0", got)
+	}
+}
+
 // mustSession builds a session or fails the test.
 func mustSession(t *testing.T, opts ...Option) *Session {
 	t.Helper()
