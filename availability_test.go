@@ -116,6 +116,9 @@ func TestSessionFaultValidation(t *testing.T) {
 	if _, err := NewSession(WithDrain(-10, 100, 4)); err == nil || !strings.Contains(err.Error(), "drain") {
 		t.Errorf("WithDrain in the past accepted (err %v)", err)
 	}
+	if _, err := NewSession(WithNodes(-1)); err == nil || !strings.Contains(err.Error(), "system size") {
+		t.Errorf("WithNodes(-1) accepted (err %v)", err)
+	}
 }
 
 func TestSweepFaultCells(t *testing.T) {

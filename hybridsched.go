@@ -111,6 +111,7 @@ import (
 	"hybridsched/internal/exp"
 	"hybridsched/internal/job"
 	"hybridsched/internal/metrics"
+	"hybridsched/internal/runner"
 	"hybridsched/internal/simtime"
 	"hybridsched/internal/trace"
 	"hybridsched/internal/workload"
@@ -214,28 +215,15 @@ type SimulationConfig struct {
 	Validate bool
 }
 
-func (c SimulationConfig) withDefaults() SimulationConfig {
-	if c.Nodes == 0 {
-		c.Nodes = 4392
-	}
-	if c.Mechanism == "" {
-		c.Mechanism = "CUA&SPAA"
-	}
-	if c.Policy == "" {
-		c.Policy = "fcfs"
-	}
-	if c.MTBF == 0 {
-		c.MTBF = 24 * float64(simtime.Hour)
-	}
-	// Zero-ish knobs use a negative sentinel for an explicitly-set zero, so
-	// "checkpoint never" and "release reservations immediately" stay
-	// expressible (the zero value still means "paper default").
-	if c.CheckpointFreqMult == 0 {
-		c.CheckpointFreqMult = 1.0
-	} else if c.CheckpointFreqMult < 0 {
-		c.CheckpointFreqMult = 0
-	}
-	return c
+// applyTo returns r with its knobs set to the configuration's, as given:
+// the recipe's WithDefaults fills in the defaults, and reads a negative
+// multiplier as an explicit zero as this type does.
+func (c SimulationConfig) applyTo(r runner.Recipe) runner.Recipe {
+	r.Nodes, r.Mechanism, r.Policy = c.Nodes, c.Mechanism, c.Policy
+	r.MTBF, r.CkptFreqMult = c.MTBF, c.CheckpointFreqMult
+	r.BackfillReserved, r.NoDirectedReturn = c.BackfillReserved, c.NoDirectedReturn
+	r.ReleaseThreshold, r.Validate = c.ReleaseThresholdSeconds, c.Validate
+	return r
 }
 
 // GenerateWorkload synthesizes a hybrid job trace; the same config and seed

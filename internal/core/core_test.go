@@ -96,6 +96,39 @@ func TestNPAAPrefersCheapVictims(t *testing.T) {
 	}
 }
 
+// TestClaimStartsWhenGatherReachesSize: an on-demand job holding a pending
+// start starts the instant a victim's nodes bring its reservation exactly to
+// its size, even while another victim's warning is still in flight. PAA
+// warns both malleable jobs for the 40-node claim (10 then 50 nodes); the
+// larger one completes inside its warning, and its nodes cover the claim at
+// t=1050, before the smaller one's warning expires at t=1120.
+func TestClaimStartsWhenGatherReachesSize(t *testing.T) {
+	small := malleable(1, 0, 10, 5, 5000)
+	large := malleable(2, 0, 50, 10, 1050)
+	rig := rigid(3, 0, 40, 5000)
+	od := odNoNotice(4, 1000, 40, 500)
+	m, err := ByName("N&PAA", DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, err := sim.New(sim.Config{Nodes: 100, Validate: true}, []*job.Job{small, large, rig, od}, m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for more := true; more; {
+		if more, err = e.Step(); err != nil {
+			t.Fatal(err)
+		}
+		if e.Queued(od.ID) {
+			t.Fatalf("t=%d: the on-demand job entered the waiting queue", e.Now())
+		}
+	}
+	if small.PreemptCount != 1 || large.EndTime != 1050 || od.StartTime != 1050 {
+		t.Fatalf("small victim preempted %d times, large victim ended at %d, on-demand start %d; want 1, 1050, 1050",
+			small.PreemptCount, large.EndTime, od.StartTime)
+	}
+}
+
 func TestNPAAInsufficientGoesToQueueFront(t *testing.T) {
 	// Two on-demand jobs cover the system; a third cannot preempt them
 	// (on-demand jobs are never preempted) and must wait in front.

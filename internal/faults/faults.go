@@ -76,17 +76,25 @@ type Injector struct {
 	cfg Config
 }
 
-// Wrap decorates inner with fault injection under cfg. MTBF and Horizon must
-// be positive; MeanRepair must be non-negative.
+// Check reports what makes cfg unusable: MTBF and Horizon must be positive,
+// and MeanRepair must be non-negative.
+func (cfg Config) Check() error {
+	switch {
+	case cfg.MTBF <= 0:
+		return fmt.Errorf("faults: MTBF must be positive, got %g", cfg.MTBF)
+	case cfg.Horizon <= 0:
+		return fmt.Errorf("faults: Horizon must be positive, got %d", cfg.Horizon)
+	case cfg.MeanRepair < 0:
+		return fmt.Errorf("faults: MeanRepair must be non-negative, got %g", cfg.MeanRepair)
+	}
+	return nil
+}
+
+// Wrap decorates inner with fault injection under cfg. It panics on a cfg
+// that Check refuses.
 func Wrap(inner sim.Mechanism, cfg Config) *Injector {
-	if cfg.MTBF <= 0 {
-		panic("faults: MTBF must be positive")
-	}
-	if cfg.Horizon <= 0 {
-		panic("faults: Horizon must be positive")
-	}
-	if cfg.MeanRepair < 0 {
-		panic("faults: MeanRepair must be non-negative")
+	if err := cfg.Check(); err != nil {
+		panic(err)
 	}
 	return &Injector{Mechanism: inner, cfg: cfg}
 }

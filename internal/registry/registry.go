@@ -28,7 +28,8 @@ import (
 type SchedulerConfig struct {
 	// ReleaseThreshold is how long reserved nodes are held for a no-show
 	// on-demand job past its estimated arrival, in seconds. Zero means the
-	// paper default (600 s); negative means an explicit zero.
+	// paper default (600 s); negative means an explicit zero. Sessions,
+	// sweeps and schedd pass it resolved: 600 unless set.
 	ReleaseThreshold int64
 	// DirectedReturn enables the return-to-lender rule (paper §III-B.3).
 	DirectedReturn bool

@@ -8,7 +8,9 @@ import (
 	"testing"
 
 	"hybridsched/internal/core"
+	"hybridsched/internal/sim"
 	"hybridsched/internal/simtime"
+	"hybridsched/internal/trace"
 	"hybridsched/internal/workload"
 )
 
@@ -117,6 +119,21 @@ func TestCheckpointedSweepIdentical(t *testing.T) {
 	checkDirSettled(t, specs, dir)
 }
 
+// cellEngine builds the engine of a resolved generated cell, as runOne does.
+func cellEngine(t *testing.T, s Spec) *sim.Engine {
+	t.Helper()
+	recs, err := newTraceCache().records(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := s.recipe()
+	e, err := r.Build(trace.Materialize(recs, r.Plan))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return e
+}
+
 // TestSweepResume reconstructs the directory a killed sweep leaves behind —
 // one cell mid-run with a valid snapshot, one cell never started, one cell
 // with a torn (corrupt) snapshot, one cell already finished — and requires
@@ -139,15 +156,7 @@ func TestSweepResume(t *testing.T) {
 
 	// Cell 0: interrupted mid-run — a genuine midpoint snapshot, no done file.
 	s0 := specs[0].withDefaults()
-	cache := newTraceCache()
-	recs, err := cache.records(s0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s0, engine, err := buildCell(s0, recs)
-	if err != nil {
-		t.Fatal(err)
-	}
+	engine := cellEngine(t, s0)
 	for i := 0; i < 700; i++ {
 		if ok, err := engine.Step(); err != nil {
 			t.Fatal(err)
@@ -223,15 +232,7 @@ func TestResumeIgnoresForeignSnapshot(t *testing.T) {
 	s1 := specs[1].withDefaults()
 
 	// Mid-run snapshot of cell 0, filed under cell 1's name.
-	cache := newTraceCache()
-	recs, err := cache.records(s0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, engine, err := buildCell(s0, recs)
-	if err != nil {
-		t.Fatal(err)
-	}
+	engine := cellEngine(t, s0)
 	for i := 0; i < 500; i++ {
 		if ok, err := engine.Step(); err != nil {
 			t.Fatal(err)

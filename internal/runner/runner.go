@@ -34,12 +34,9 @@ import (
 	"sync"
 	"time"
 
-	"hybridsched/internal/checkpoint"
 	"hybridsched/internal/core"
 	"hybridsched/internal/faults"
 	"hybridsched/internal/metrics"
-	"hybridsched/internal/registry"
-	"hybridsched/internal/sim"
 	"hybridsched/internal/simtime"
 	"hybridsched/internal/source"
 	"hybridsched/internal/trace"
@@ -128,20 +125,15 @@ type DrainSpec struct {
 	Nodes    int
 }
 
-// withDefaults fills the paper-faithful defaults into zero fields.
+// withDefaults fills the paper-faithful defaults into zero fields: the
+// recipe's for the system knobs, then the cell's derived coordinates.
 func (s Spec) withDefaults() Spec {
-	if s.Mechanism == "" {
-		s.Mechanism = "CUA&SPAA"
-	}
-	if s.Policy == "" {
-		s.Policy = "fcfs"
-	}
 	if s.Nodes == 0 {
 		s.Nodes = s.Workload.Nodes
 	}
-	if s.Nodes == 0 {
-		s.Nodes = 4392
-	}
+	d := s.recipe().WithDefaults()
+	s.Nodes, s.Mechanism, s.Policy = d.Nodes, d.Mechanism, d.Policy
+	s.MTBF, s.CkptFreqMult = d.MTBF, d.CkptFreqMult
 	// Source-backed cells leave Workload untouched: the spec is the whole
 	// workload identity (and the memo key), so a derived seed would only
 	// muddy Key() and the emitted rows.
@@ -155,9 +147,6 @@ func (s Spec) withDefaults() Spec {
 	}
 	if s.Core == (core.Config{}) {
 		s.Core = core.DefaultConfig()
-	}
-	if s.MTBF == 0 {
-		s.MTBF = 24 * float64(simtime.Hour)
 	}
 	if s.FaultMTBF > 0 && s.FaultSeed == 0 {
 		// The fault seed must not depend on the mechanism: every mechanism
@@ -180,12 +169,33 @@ func (s Spec) withDefaults() Spec {
 		}
 		s.FaultHorizon = int64(weeks+4) * simtime.Week
 	}
-	if s.CkptFreqMult == 0 {
-		s.CkptFreqMult = 1.0
-	} else if s.CkptFreqMult < 0 {
-		s.CkptFreqMult = 0 // explicit zero: checkpointing disabled
-	}
 	return s
+}
+
+// recipe is the cell's engine recipe. A resolved cell's, fault horizon
+// included, is complete.
+func (s Spec) recipe() Recipe {
+	r := Recipe{
+		Nodes:            s.Nodes,
+		Mechanism:        s.Mechanism,
+		Policy:           s.Policy,
+		MTBF:             s.MTBF,
+		CkptFreqMult:     s.CkptFreqMult,
+		BackfillReserved: s.Core.BackfillReserved,
+		NoDirectedReturn: !s.Core.DirectedReturn,
+		ReleaseThreshold: s.Core.ReleaseThreshold,
+		Validate:         s.Validate,
+		Drains:           s.Drains,
+	}
+	if s.FaultMTBF > 0 {
+		r.Faults = &faults.Config{
+			MTBF:       s.FaultMTBF,
+			Seed:       s.FaultSeed,
+			Horizon:    s.FaultHorizon,
+			MeanRepair: s.FaultMeanRepair,
+		}
+	}
+	return r
 }
 
 // Key renders the cell coordinates compactly for progress lines and errors.
@@ -370,65 +380,6 @@ func Run(specs []Spec, opt Options) Sweep {
 	return sweep
 }
 
-// buildCell materializes one cell's engine from its resolved spec and shared
-// trace: jobs with their Daly checkpoint plans, the mechanism (fault-wrapped
-// when configured), the queue policy, and any scheduled drains. The returned
-// spec echoes fields derived during construction (the source-cell fault
-// horizon), which is also why checkpoint file names are computed only after
-// this step.
-func buildCell(s Spec, recs []trace.Record) (Spec, *sim.Engine, error) {
-	jobs := trace.Materialize(recs, func(size int) checkpoint.Plan {
-		return checkpoint.NewPlan(size, s.MTBF, s.CkptFreqMult)
-	})
-	mech, err := registry.NewScheduler(s.Mechanism, registry.SchedulerConfig{
-		ReleaseThreshold: s.Core.ReleaseThreshold,
-		DirectedReturn:   s.Core.DirectedReturn,
-		BackfillReserved: s.Core.BackfillReserved,
-	})
-	if err != nil {
-		return s, nil, err
-	}
-	if s.FaultMTBF > 0 {
-		if s.FaultHorizon == 0 {
-			// Source-backed cell: cover the whole replayed trace plus tail
-			// room for the queue to drain, so failures do not silently stop
-			// partway through a long import.
-			var span int64
-			for _, r := range recs {
-				if r.Submit > span {
-					span = r.Submit
-				}
-			}
-			s.FaultHorizon = span + 4*simtime.Week
-		}
-		mech = faults.Wrap(mech, faults.Config{
-			MTBF:       s.FaultMTBF,
-			Seed:       s.FaultSeed,
-			Horizon:    s.FaultHorizon,
-			MeanRepair: s.FaultMeanRepair,
-		})
-	}
-	ord := registry.PolicyByName(s.Policy)
-	if ord == nil {
-		return s, nil, fmt.Errorf("unknown policy %q (valid: %v)", s.Policy, registry.PolicyNames())
-	}
-	engine, err := sim.New(sim.Config{
-		Nodes:            s.Nodes,
-		Policy:           ord,
-		BackfillReserved: s.Core.BackfillReserved,
-		Validate:         s.Validate,
-	}, jobs, mech)
-	if err != nil {
-		return s, nil, err
-	}
-	for _, d := range s.Drains {
-		if err := engine.ScheduleDrain(d.Start, d.Duration, d.Nodes); err != nil {
-			return s, nil, err
-		}
-	}
-	return s, engine, nil
-}
-
 // runOne executes a single cell, converting errors and panics into the
 // Result so one bad cell cannot kill the sweep.
 func runOne(spec Spec, cache *traceCache, ck *ckptState) (res Result) {
@@ -449,8 +400,19 @@ func runOne(spec Spec, cache *traceCache, ck *ckptState) (res Result) {
 		res.Err = err.Error()
 		return
 	}
-	s, engine, err := buildCell(s, recs)
+	if s.FaultMTBF > 0 && s.FaultHorizon == 0 {
+		// Source-backed cell: cover the whole replayed trace plus tail room
+		// for the queue to drain, so failures do not silently stop partway
+		// through a long import.
+		var span int64
+		for _, r := range recs {
+			span = max(span, r.Submit)
+		}
+		s.FaultHorizon = span + 4*simtime.Week
+	}
 	res.Spec = s
+	r := s.recipe()
+	engine, err := r.Build(trace.Materialize(recs, r.Plan))
 	if err != nil {
 		res.Err = err.Error()
 		return

@@ -110,7 +110,10 @@ type createRequest struct {
 	Policy     string `json:"policy,omitempty"`
 	Nodes      int    `json:"nodes,omitempty"`
 	MaxSimTime int64  `json:"max_sim_time,omitempty"`
-	Source     string `json:"source,omitempty"`
+	// Source is a hybridsched source spec (ParseSource grammar). It is
+	// materialized and submitted up front — not attached lazily — so the
+	// session stays checkpointable (Checkpoint rejects undrained sources).
+	Source string `json:"source,omitempty"`
 }
 
 // advanceRequest is the JSON body of POST /v1/sessions/{id}/advance.
@@ -242,11 +245,7 @@ func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 		writeError(w, fmt.Errorf("bad request body: %w", err))
 		return
 	}
-	a, err := s.createSession(createSpec{
-		Tenant: req.Tenant, ID: req.ID, Mechanism: req.Mechanism,
-		Policy: req.Policy, Nodes: req.Nodes, MaxSimTime: req.MaxSimTime,
-		Source: req.Source,
-	})
+	a, err := s.createSession(req)
 	if err != nil {
 		writeError(w, err)
 		return
@@ -261,11 +260,9 @@ func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 
 // infoOf collects a session's live description through its actor.
 func (s *Server) infoOf(a *actor) (sessionInfo, error) {
-	info := sessionInfo{
-		ID: a.spec.ID, Tenant: a.spec.Tenant, Mechanism: a.spec.Mechanism,
-		Policy: a.spec.Policy,
-	}
+	info := sessionInfo{ID: a.spec.ID, Tenant: a.spec.Tenant}
 	err := a.do(func(sess *hybridsched.Session) error {
+		info.Mechanism, info.Policy = sess.Names()
 		snap := sess.Snapshot()
 		info.Nodes = snap.Nodes
 		info.Now = snap.Now

@@ -91,38 +91,18 @@ func New(cfg Config) (*Server, error) {
 	return s, nil
 }
 
-// createSpec is the resolved request to host a new session.
-type createSpec struct {
-	Tenant     string
-	ID         string // empty: server-assigned
-	Mechanism  string
-	Policy     string
-	Nodes      int
-	MaxSimTime int64
-	// Source is a hybridsched source spec (ParseSource grammar). It is
-	// materialized and submitted up front — not attached lazily — so the
-	// session stays checkpointable (Checkpoint rejects undrained sources).
-	Source string
-}
-
 // createSession builds, registers, and starts an actor for a new session.
-func (s *Server) createSession(spec createSpec) (*actor, error) {
-	if !nameRE.MatchString(spec.Tenant) {
-		return nil, fmt.Errorf("invalid tenant %q (want %s)", spec.Tenant, nameRE)
+func (s *Server) createSession(req createRequest) (*actor, error) {
+	if !nameRE.MatchString(req.Tenant) {
+		return nil, fmt.Errorf("invalid tenant %q (want %s)", req.Tenant, nameRE)
 	}
-	if spec.ID != "" && !nameRE.MatchString(spec.ID) {
-		return nil, fmt.Errorf("invalid session id %q (want %s)", spec.ID, nameRE)
-	}
-	if spec.Mechanism == "" {
-		spec.Mechanism = "CUA&SPAA"
-	}
-	if spec.Policy == "" {
-		spec.Policy = "fcfs"
+	if req.ID != "" && !nameRE.MatchString(req.ID) {
+		return nil, fmt.Errorf("invalid session id %q (want %s)", req.ID, nameRE)
 	}
 
 	var records []hybridsched.Record
-	if spec.Source != "" {
-		src, err := hybridsched.ParseSource(spec.Source)
+	if req.Source != "" {
+		src, err := hybridsched.ParseSource(req.Source)
 		if err != nil {
 			return nil, fmt.Errorf("source: %w", err)
 		}
@@ -131,24 +111,19 @@ func (s *Server) createSession(spec createSpec) (*actor, error) {
 		}
 	}
 
-	if err := s.ledger.addSession(spec.Tenant); err != nil {
+	if err := s.ledger.addSession(req.Tenant); err != nil {
 		s.met.quotaDenials.Inc()
 		return nil, err
 	}
-	undo := func() { s.ledger.dropSession(spec.Tenant) }
+	undo := func() { s.ledger.dropSession(req.Tenant) }
 
-	opts := []hybridsched.Option{
-		hybridsched.WithMechanism(spec.Mechanism),
-		hybridsched.WithPolicy(spec.Policy),
+	sess, err := hybridsched.NewSession(
+		hybridsched.WithMechanism(req.Mechanism),
+		hybridsched.WithPolicy(req.Policy),
+		hybridsched.WithNodes(req.Nodes),
+		hybridsched.WithMaxSimTime(req.MaxSimTime),
 		hybridsched.WithObserver(s.eventCounter()),
-	}
-	if spec.Nodes > 0 {
-		opts = append(opts, hybridsched.WithNodes(spec.Nodes))
-	}
-	if spec.MaxSimTime > 0 {
-		opts = append(opts, hybridsched.WithMaxSimTime(spec.MaxSimTime))
-	}
-	sess, err := hybridsched.NewSession(opts...)
+	)
 	if err != nil {
 		undo()
 		return nil, err
@@ -161,6 +136,7 @@ func (s *Server) createSession(spec createSpec) (*actor, error) {
 		}
 	}
 	s.met.jobsSubmitted.Add(int64(len(records)))
+	mech, pol := sess.Names() // read now: once the actor starts, only it touches sess
 
 	s.mu.Lock()
 	if s.draining {
@@ -169,7 +145,7 @@ func (s *Server) createSession(spec createSpec) (*actor, error) {
 		undo()
 		return nil, errSessionClosed
 	}
-	id := spec.ID
+	id := req.ID
 	if id == "" {
 		s.nextID++
 		id = fmt.Sprintf("s%d", s.nextID)
@@ -180,16 +156,14 @@ func (s *Server) createSession(spec createSpec) (*actor, error) {
 		undo()
 		return nil, fmt.Errorf("session %q already exists", id)
 	}
-	aspec := sessionSpec{Tenant: spec.Tenant, ID: id, Mechanism: spec.Mechanism,
-		Policy: spec.Policy, Nodes: sess.Snapshot().Nodes}
-	a := newActor(aspec, sess, s.cfg.Quotas.MailboxDepth, s.snapPath(spec.Tenant, id), s.met)
+	a := newActor(sessionSpec{Tenant: req.Tenant, ID: id}, sess, s.cfg.Quotas.MailboxDepth, s.snapPath(req.Tenant, id), s.met)
 	s.sessions[id] = a
 	s.mu.Unlock()
 
 	s.met.sessionsCreated.Inc()
 	s.met.sessionsLive.Add(1)
-	s.log.Printf("schedd: session %s created (tenant=%s mechanism=%s nodes=%d, %d source records)",
-		id, spec.Tenant, spec.Mechanism, aspec.Nodes, len(records))
+	s.log.Printf("schedd: session %s created (tenant=%s mechanism=%s policy=%s, %d source records)",
+		id, req.Tenant, mech, pol, len(records))
 	return a, nil
 }
 

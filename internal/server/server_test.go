@@ -9,6 +9,8 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -345,6 +347,36 @@ func TestCheckpointRestore(t *testing.T) {
 	}
 }
 
+// TestRestoreWithoutSidecarListsNames: a session restored from its frame
+// alone (the tenant--id file name standing in for the missing sidecar)
+// lists the mechanism and policy the frame holds.
+func TestRestoreWithoutSidecarListsNames(t *testing.T) {
+	stateDir := t.TempDir()
+	srv1, ts1 := testServer(t, Quotas{}, stateDir)
+	create := createRequest{Tenant: "acme", ID: "exp1", Mechanism: "baseline", Policy: "sjf", Nodes: 64}
+	if code := call(t, "POST", ts1.URL+"/v1/sessions", create, nil); code != http.StatusCreated {
+		t.Fatalf("create: status %d", code)
+	}
+	ts1.Close()
+	srv1.Drain()
+	if err := os.Remove(filepath.Join(stateDir, "acme--exp1.meta.json")); err != nil {
+		t.Fatal(err)
+	}
+
+	_, ts2 := testServer(t, Quotas{}, stateDir)
+	var infos []sessionInfo
+	if code := call(t, "GET", ts2.URL+"/v1/sessions", nil, &infos); code != http.StatusOK {
+		t.Fatalf("list after restore: status %d", code)
+	}
+	if len(infos) != 1 {
+		t.Fatalf("restored %d sessions, want 1: %+v", len(infos), infos)
+	}
+	got := infos[0]
+	if got.Tenant != "acme" || got.ID != "exp1" || got.Mechanism != "baseline" || got.Policy != "sjf" || got.Nodes != 64 {
+		t.Fatalf("restored session lists as %+v", got)
+	}
+}
+
 // TestRestoreEqualsUninterrupted pins that serving a workload through a
 // drain/restore cycle yields the same final report as an uninterrupted
 // session — the daemon's persistence rides PR 6's byte-identical resume.
@@ -452,7 +484,7 @@ func TestMetricsEndpoint(t *testing.T) {
 }
 
 // TestBadInputs covers the API's validation edges: bad tenant names, bad
-// class names, malformed advances, and unknown sessions.
+// system sizes, bad class names, malformed advances, and unknown sessions.
 func TestBadInputs(t *testing.T) {
 	_, ts := testServer(t, Quotas{}, "")
 	if code := call(t, "POST", ts.URL+"/v1/sessions", createRequest{Tenant: "no/slashes"}, nil); code != http.StatusBadRequest {
@@ -460,6 +492,9 @@ func TestBadInputs(t *testing.T) {
 	}
 	if code := call(t, "POST", ts.URL+"/v1/sessions", createRequest{Tenant: "alice", Mechanism: "nope"}, nil); code != http.StatusBadRequest {
 		t.Errorf("unknown mechanism: status %d", code)
+	}
+	if code := call(t, "POST", ts.URL+"/v1/sessions", createRequest{Tenant: "alice", Nodes: -5}, nil); code != http.StatusBadRequest {
+		t.Errorf("negative node count: status %d", code)
 	}
 	var info sessionInfo
 	if code := call(t, "POST", ts.URL+"/v1/sessions", createRequest{Tenant: "alice", Nodes: 64}, &info); code != http.StatusCreated {

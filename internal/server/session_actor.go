@@ -38,15 +38,12 @@ type request struct {
 	release func() // queued-submission quota release; nil for non-submits
 }
 
-// sessionSpec is the construction-time identity of a hosted session, kept
-// for listings and persisted alongside checkpoints so a restored daemon can
-// still describe what it hosts.
+// sessionSpec is who owns a hosted session, persisted beside its checkpoint
+// because the file name tenant--id is ambiguous when names contain "-". The
+// rest of a session's description comes from the session itself.
 type sessionSpec struct {
-	Tenant    string `json:"tenant"`
-	ID        string `json:"id"`
-	Mechanism string `json:"mechanism"`
-	Policy    string `json:"policy"`
-	Nodes     int    `json:"nodes"`
+	Tenant string `json:"tenant"`
+	ID     string `json:"id"`
 }
 
 // actor owns one hybridsched.Session. The Session API is explicitly not

@@ -164,6 +164,33 @@ func (m *deadlockMech) Attach(e *Engine) {
 	e.Cluster().Reserve(2, 30)
 }
 
+// TestStallWithoutHoldsFails: when the event queue drains with a job that
+// cannot start and no queued job holds a reservation, there is no hold to
+// dissolve, and Step reports the stall within a few steps instead of
+// requesting passes forever.
+func TestStallWithoutHoldsFails(t *testing.T) {
+	e := attach(t, Config{Nodes: 100}, []*job.Job{rigid(1, 0, 80, 100)}, strandMech{})
+	for i := 0; i < 100; i++ {
+		more, err := e.Step()
+		if err != nil {
+			if !strings.Contains(err.Error(), "stalled with 1/1 jobs incomplete") {
+				t.Fatalf("step %d: %v, want the stall error", i, err)
+			}
+			return
+		}
+		if !more {
+			t.Fatal("run ended with the job incomplete and no error")
+		}
+	}
+	t.Fatal("no stall error within 100 steps")
+}
+
+// strandMech reserves 30 nodes for a claim no job makes, so an 80-node job
+// never fits (100 - 30 = 70 free) and holds nothing of its own.
+type strandMech struct{ Baseline }
+
+func (strandMech) Attach(e *Engine) { e.Cluster().Reserve(99, 30) }
+
 func TestSquatLifecycle(t *testing.T) {
 	e := attach(t, Config{Nodes: 100, BackfillReserved: true}, nil, Baseline{})
 	// Claim 50 reserves 40 nodes and allows squatting.

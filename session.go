@@ -5,7 +5,6 @@ import (
 	"slices"
 	"sync"
 
-	"hybridsched/internal/checkpoint"
 	"hybridsched/internal/faults"
 	"hybridsched/internal/job"
 	"hybridsched/internal/metrics"
@@ -156,16 +155,13 @@ func SchedulerNames() []string { return registry.SchedulerNames() }
 // PolicyNames returns every resolvable queue-policy name.
 func PolicyNames() []string { return registry.PolicyNames() }
 
-// sessionConfig is the resolved option set of one session.
+// sessionConfig is the option set of one session: the engine recipe and the
+// session's own attachments.
 type sessionConfig struct {
-	sim        SimulationConfig
-	scheduler  Scheduler // overrides sim.Mechanism when non-nil
-	maxSimTime int64
-	lookahead  int64
-	sources    []Source
-	observers  []Observer
-	faults     *FaultConfig
-	drains     []DrainSpec
+	recipe    runner.Recipe
+	lookahead int64
+	sources   []Source
+	observers []Observer
 }
 
 // Option configures a Session under construction.
@@ -174,38 +170,38 @@ type Option func(*sessionConfig)
 // WithConfig seeds every knob from a legacy SimulationConfig. Options
 // applied after it override individual fields.
 func WithConfig(cfg SimulationConfig) Option {
-	return func(c *sessionConfig) { c.sim = cfg }
+	return func(c *sessionConfig) { c.recipe = cfg.applyTo(c.recipe) }
 }
 
 // WithNodes sets the system size (default 4392, Theta).
 func WithNodes(n int) Option {
-	return func(c *sessionConfig) { c.sim.Nodes = n }
+	return func(c *sessionConfig) { c.recipe.Nodes = n }
 }
 
 // WithMechanism selects the scheduler by name: "baseline", one of the six
 // paper mechanisms, or a name registered with RegisterScheduler. Default
 // "CUA&SPAA".
 func WithMechanism(name string) Option {
-	return func(c *sessionConfig) { c.sim.Mechanism = name }
+	return func(c *sessionConfig) { c.recipe.Mechanism = name }
 }
 
 // WithScheduler installs a Scheduler instance directly, bypassing name
 // resolution. The instance is wired to this session's engine and must not be
 // reused across sessions.
 func WithScheduler(s Scheduler) Option {
-	return func(c *sessionConfig) { c.scheduler = s }
+	return func(c *sessionConfig) { c.recipe.Scheduler = s }
 }
 
 // WithPolicy selects the waiting-queue ordering by name: fcfs (default),
 // sjf, ljf, wfp3, or a name registered with RegisterPolicy.
 func WithPolicy(name string) Option {
-	return func(c *sessionConfig) { c.sim.Policy = name }
+	return func(c *sessionConfig) { c.recipe.Policy = name }
 }
 
 // WithMTBF sets the system mean time between failures in seconds, driving
 // Daly's optimal checkpoint interval (default 24 h).
 func WithMTBF(seconds float64) Option {
-	return func(c *sessionConfig) { c.sim.MTBF = seconds }
+	return func(c *sessionConfig) { c.recipe.MTBF = seconds }
 }
 
 // WithCheckpointFreqMult scales the rigid-job checkpoint interval around the
@@ -215,9 +211,9 @@ func WithMTBF(seconds float64) Option {
 func WithCheckpointFreqMult(m float64) Option {
 	return func(c *sessionConfig) {
 		if m <= 0 {
-			m = -1 // survives withDefaults as an explicit zero
+			m = -1 // survives WithDefaults as an explicit zero
 		}
-		c.sim.CheckpointFreqMult = m
+		c.recipe.CkptFreqMult = m
 	}
 }
 
@@ -228,22 +224,22 @@ func WithCheckpointFreqMult(m float64) Option {
 func WithReleaseThreshold(seconds int64) Option {
 	return func(c *sessionConfig) {
 		if seconds <= 0 {
-			seconds = -1 // survives withDefaults as an explicit zero
+			seconds = -1 // read as an explicit zero, not the default
 		}
-		c.sim.ReleaseThresholdSeconds = seconds
+		c.recipe.ReleaseThreshold = seconds
 	}
 }
 
 // WithBackfillReserved lets backfill jobs run on reserved nodes, to be
 // preempted on the on-demand arrival (paper §III-B.1 option).
 func WithBackfillReserved(on bool) Option {
-	return func(c *sessionConfig) { c.sim.BackfillReserved = on }
+	return func(c *sessionConfig) { c.recipe.BackfillReserved = on }
 }
 
 // WithDirectedReturn toggles the return-to-lender rule (§III-B.3); it is on
 // by default.
 func WithDirectedReturn(on bool) Option {
-	return func(c *sessionConfig) { c.sim.NoDirectedReturn = !on }
+	return func(c *sessionConfig) { c.recipe.NoDirectedReturn = !on }
 }
 
 // WithValidate checks the cluster partition invariant after every event and
@@ -251,13 +247,13 @@ func WithDirectedReturn(on bool) Option {
 // on a mismatch (for tests; slows long runs down). The checks only read, so
 // they change no output.
 func WithValidate(on bool) Option {
-	return func(c *sessionConfig) { c.sim.Validate = on }
+	return func(c *sessionConfig) { c.recipe.Validate = on }
 }
 
 // WithMaxSimTime aborts the session if the virtual clock passes this bound
 // (0 = none). A safety net for user-driven schedulers that might stall.
 func WithMaxSimTime(t int64) Option {
-	return func(c *sessionConfig) { c.maxSimTime = t }
+	return func(c *sessionConfig) { c.recipe.MaxSimTime = t }
 }
 
 // DefaultSourceLookahead is how far past the next pending event a session
@@ -324,7 +320,7 @@ type DrainSpec = runner.DrainSpec
 // consequences stream as EventPreempt/EventNodeDown/EventNodeUp events, and
 // the run's Report carries FailuresInjected/FailureMisses/DownNodeSeconds.
 func WithFaults(cfg FaultConfig) Option {
-	return func(c *sessionConfig) { c.faults = &cfg }
+	return func(c *sessionConfig) { c.recipe.Faults = &cfg }
 }
 
 // WithDrain schedules a maintenance window on the new session (repeatable;
@@ -332,7 +328,7 @@ func WithFaults(cfg FaultConfig) Option {
 // scheduler pass until the window closes.
 func WithDrain(start, duration int64, nodes int) Option {
 	return func(c *sessionConfig) {
-		c.drains = append(c.drains, DrainSpec{Start: start, Duration: duration, Nodes: nodes})
+		c.recipe.Drains = append(c.recipe.Drains, DrainSpec{Start: start, Duration: duration, Nodes: nodes})
 	}
 }
 
@@ -374,7 +370,7 @@ const eventChanBuffer = 4096
 // observe the close and drain out).
 type Session struct {
 	eng    *sim.Engine
-	plan   func(size int) checkpoint.Plan
+	recipe runner.Recipe // what the engine was built from, defaults filled in
 	obs    []Observer
 	sinkOn bool // engine sink installed (lazily, on first observer)
 
@@ -388,24 +384,12 @@ type Session struct {
 
 	srcs      []sourceState
 	lookahead int64
-
-	// ckpt is the construction recipe Checkpoint persists so Restore can
-	// rebuild an identical session; nil when the session is not
-	// checkpointable by name (WithScheduler instances).
-	ckpt *sessionCheckpointInfo
 }
 
 // eventChan is one channel Events returned, with the events dropped from it.
 type eventChan struct {
 	ch    chan Event
 	drops int
-}
-
-// sessionCheckpointInfo is the resolved construction recipe of a session.
-type sessionCheckpointInfo struct {
-	cfg        SimulationConfig // after withDefaults
-	maxSimTime int64
-	faults     *FaultConfig
 }
 
 // sourceState tracks one attached Source: its buffered head record (drawn
@@ -428,53 +412,16 @@ func NewSession(opts ...Option) (*Session, error) {
 	for _, opt := range opts {
 		opt(&c)
 	}
-	cfg := c.sim.withDefaults()
+	c.recipe = c.recipe.WithDefaults()
+	return c.session()
+}
 
-	ord := registry.PolicyByName(cfg.Policy)
-	if ord == nil {
-		return nil, fmt.Errorf("hybridsched: unknown policy %q (valid: %v)",
-			cfg.Policy, registry.PolicyNames())
-	}
-	mech := c.scheduler
-	if mech == nil {
-		m, err := registry.NewScheduler(cfg.Mechanism, registry.SchedulerConfig{
-			ReleaseThreshold: cfg.ReleaseThresholdSeconds,
-			DirectedReturn:   !cfg.NoDirectedReturn,
-			BackfillReserved: cfg.BackfillReserved,
-		})
-		if err != nil {
-			return nil, err
-		}
-		mech = m
-	}
-	if fc := c.faults; fc != nil {
-		// Validate here: faults.Wrap panics on misuse, but a constructor
-		// should fail with an error.
-		if fc.MTBF <= 0 {
-			return nil, fmt.Errorf("hybridsched: WithFaults requires a positive MTBF, got %g", fc.MTBF)
-		}
-		if fc.Horizon <= 0 {
-			return nil, fmt.Errorf("hybridsched: WithFaults requires a positive Horizon, got %d", fc.Horizon)
-		}
-		if fc.MeanRepair < 0 {
-			return nil, fmt.Errorf("hybridsched: WithFaults MeanRepair must be non-negative, got %g", fc.MeanRepair)
-		}
-		mech = faults.Wrap(mech, *fc)
-	}
-	eng, err := sim.New(sim.Config{
-		Nodes:            cfg.Nodes,
-		Policy:           ord,
-		BackfillReserved: cfg.BackfillReserved,
-		Validate:         cfg.Validate,
-		MaxSimTime:       c.maxSimTime,
-	}, nil, mech)
+// session builds the engine from the recipe, which must be complete, and
+// attaches the observers and sources.
+func (c sessionConfig) session() (*Session, error) {
+	eng, err := c.recipe.Build(nil)
 	if err != nil {
-		return nil, err
-	}
-	for _, d := range c.drains {
-		if err := eng.ScheduleDrain(d.Start, d.Duration, d.Nodes); err != nil {
-			return nil, fmt.Errorf("hybridsched: WithDrain: %w", err)
-		}
+		return nil, fmt.Errorf("hybridsched: %w", err)
 	}
 	lookahead := c.lookahead
 	if lookahead == 0 {
@@ -482,19 +429,7 @@ func NewSession(opts ...Option) (*Session, error) {
 	} else if lookahead < 0 {
 		lookahead = 0
 	}
-	s := &Session{
-		eng: eng,
-		plan: func(size int) checkpoint.Plan {
-			return checkpoint.NewPlan(size, cfg.MTBF, cfg.CheckpointFreqMult)
-		},
-		obs:       c.observers,
-		lookahead: lookahead,
-	}
-	if c.scheduler == nil {
-		// Name-resolved schedulers can be rebuilt by Restore; a WithScheduler
-		// instance cannot, so such sessions stay non-checkpointable.
-		s.ckpt = &sessionCheckpointInfo{cfg: cfg, maxSimTime: c.maxSimTime, faults: c.faults}
-	}
+	s := &Session{eng: eng, recipe: c.recipe, obs: c.observers, lookahead: lookahead}
 	// The sink is installed only once someone listens: an unobserved session
 	// pays nothing per event — the engine skips constructing and fanning out
 	// Event values entirely.
@@ -507,6 +442,15 @@ func NewSession(opts ...Option) (*Session, error) {
 		}
 	}
 	return s, nil
+}
+
+// Names returns the scheduler and queue-policy names the session runs, the
+// defaults filled in; a WithScheduler instance is named by its Name.
+func (s *Session) Names() (mechanism, policy string) {
+	if m := s.recipe.Scheduler; m != nil {
+		return m.Name(), s.recipe.Policy
+	}
+	return s.recipe.Mechanism, s.recipe.Policy
 }
 
 // installSink wires the session's fan-out into the engine (idempotent).
@@ -554,7 +498,7 @@ func (s *Session) Submit(r Record) error {
 	if err != nil {
 		return err
 	}
-	return s.eng.Submit(trace.Materialize([]Record{r}, s.plan)[0])
+	return s.eng.Submit(trace.Materialize([]Record{r}, s.recipe.Plan)[0])
 }
 
 // SubmitSource attaches src to the session: its records are drawn lazily as

@@ -3,6 +3,7 @@ package hybridsched
 import (
 	"encoding/json"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -34,9 +35,10 @@ func equivWorkload(mix NoticeMix) WorkloadConfig {
 // TestSessionGoldenEquivalence: a Session with the whole trace pre-submitted
 // and Run() must produce a Report byte-identical (via JSON, wall-clock
 // fields excluded) to the RunSweep cell built from the same workload config,
-// for every mechanism under every Table III notice mix. NewSession and the
-// sweep runner's cell builder are the two places where a named
-// configuration becomes an engine, so each is the other's oracle.
+// for every mechanism under every Table III notice mix. Both build their
+// engine through the same recipe; the test compares the Submit path, which
+// hands the engine one job at a time, with the primed path, where a cell
+// hands sim.New every job up front.
 func TestSessionGoldenEquivalence(t *testing.T) {
 	mixes := []struct {
 		name string
@@ -372,6 +374,58 @@ func TestExplicitZeroReleaseThreshold(t *testing.T) {
 	}
 	if canonicalJSON(t, sweep.Results[0].Report) != canonicalJSON(t, viaSentinel) {
 		t.Error("sweep cell with explicit-zero threshold diverged from Simulate")
+	}
+}
+
+// recordedConfigs collects the SchedulerConfig of every "test-recorder"
+// instance built. A package variable, since under -count=N the factory
+// registered by the first run stays.
+var (
+	recordedMu      sync.Mutex
+	recordedConfigs []SchedulerConfig
+)
+
+// TestFactoryGetsOneSchedulerConfig: a registered factory is handed the same
+// SchedulerConfig for one SimulationConfig whether the engine is built by
+// Simulate, NewSession or a RunSweep cell, the release threshold resolved
+// (600 s by default, negative for an explicit zero).
+func TestFactoryGetsOneSchedulerConfig(t *testing.T) {
+	if err := RegisterScheduler("test-recorder", func(cfg SchedulerConfig) (Scheduler, error) {
+		recordedMu.Lock()
+		defer recordedMu.Unlock()
+		recordedConfigs = append(recordedConfigs, cfg)
+		return Baseline{}, nil
+	}); err != nil && !strings.Contains(err.Error(), "already registered") {
+		t.Fatal(err)
+	}
+	cases := []struct {
+		cfg  SimulationConfig
+		want SchedulerConfig
+	}{
+		{SimulationConfig{Nodes: 128, Mechanism: "test-recorder"},
+			SchedulerConfig{ReleaseThreshold: 600, DirectedReturn: true}},
+		{SimulationConfig{Nodes: 128, Mechanism: "test-recorder", ReleaseThresholdSeconds: -1, NoDirectedReturn: true, BackfillReserved: true},
+			SchedulerConfig{ReleaseThreshold: -1, BackfillReserved: true}},
+	}
+	for _, tc := range cases {
+		recordedMu.Lock()
+		recordedConfigs = nil
+		recordedMu.Unlock()
+		if _, err := Simulate(tc.cfg, nil); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := NewSession(WithConfig(tc.cfg)); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := RunSweep([]SweepSpec{{Label: "rec", Source: "synthetic:seed=1,weeks=1,nodes=128", Sim: tc.cfg}}, SweepOptions{Workers: 1}); err != nil {
+			t.Fatal(err)
+		}
+		recordedMu.Lock()
+		got := recordedConfigs
+		recordedMu.Unlock()
+		if len(got) != 3 || got[0] != tc.want || got[1] != tc.want || got[2] != tc.want {
+			t.Errorf("%+v: Simulate, NewSession and RunSweep handed the factory %+v, want %+v each", tc.cfg, got, tc.want)
+		}
 	}
 }
 

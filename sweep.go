@@ -141,31 +141,22 @@ func (r *SweepReport) WriteCSV(w io.Writer) error { return r.sweep.WriteCSV(w) }
 func RunSweep(specs []SweepSpec, opt SweepOptions) (*SweepReport, error) {
 	rspecs := make([]runner.Spec, len(specs))
 	for i, s := range specs {
-		cfg := s.Sim.withDefaults()
-		ccfg := core.DefaultConfig()
-		ccfg.DirectedReturn = !cfg.NoDirectedReturn
-		ccfg.BackfillReserved = cfg.BackfillReserved
-		if cfg.ReleaseThresholdSeconds != 0 {
-			// Negative (the explicit-zero sentinel) passes through untouched:
-			// core.Config.withDefaults resolves it, and resolving it here to 0
-			// would be re-read downstream as "use the 600 s default".
-			ccfg.ReleaseThreshold = cfg.ReleaseThresholdSeconds
-		}
+		// The knobs go in as given; each cell fills in their defaults when it
+		// runs, as NewSession does. Only the size is filled here, or the
+		// cell's would follow its workload's.
+		r := s.Sim.applyTo(runner.Recipe{})
 		rspecs[i] = runner.Spec{
-			Group:     "sweep",
-			Variant:   s.Label,
-			Mechanism: cfg.Mechanism,
-			Policy:    cfg.Policy,
-			Nodes:     cfg.Nodes,
-			Source:    s.Source,
-			Workload:  s.Workload,
-			Core:      ccfg,
-			MTBF:      cfg.MTBF,
-			// Pass the raw multiplier: the runner applies the same default
-			// and explicit-zero sentinel rules, and root withDefaults
-			// resolving -1 to 0 here would be re-read as "use default".
-			CkptFreqMult:    s.Sim.CheckpointFreqMult,
-			Validate:        cfg.Validate,
+			Group:           "sweep",
+			Variant:         s.Label,
+			Mechanism:       r.Mechanism,
+			Policy:          r.Policy,
+			Nodes:           r.WithDefaults().Nodes,
+			Source:          s.Source,
+			Workload:        s.Workload,
+			Core:            core.Config(r.SchedulerConfig()),
+			MTBF:            r.MTBF,
+			CkptFreqMult:    r.CkptFreqMult,
+			Validate:        r.Validate,
 			FaultMTBF:       s.FaultMTBF,
 			FaultMeanRepair: s.FaultMeanRepair,
 			Drains:          s.Drains,

@@ -108,6 +108,21 @@ func TestRunSweepIsolatesFailures(t *testing.T) {
 	}
 }
 
+// TestRunSweepRefusesBadFaultParameters: a cell whose fault parameters the
+// injector cannot take fails with an error naming the parameter, as a
+// session does, not with a recovered panic.
+func TestRunSweepRefusesBadFaultParameters(t *testing.T) {
+	spec := sweepGrid()[0]
+	spec.FaultMTBF, spec.FaultMeanRepair = 3600, -1
+	rep, err := RunSweep([]SweepSpec{spec}, SweepOptions{Workers: 1})
+	if err == nil {
+		t.Fatal("a negative mean repair time was accepted")
+	}
+	if msg := rep.Results[0].Err; !strings.Contains(msg, "MeanRepair") || strings.Contains(msg, "panic:") {
+		t.Fatalf("cell error %q, want one naming MeanRepair and no panic", msg)
+	}
+}
+
 func TestRunSweepHonorsNoDirectedReturn(t *testing.T) {
 	// The flag must survive the spec translation even when every other core
 	// knob is left at its zero value.
